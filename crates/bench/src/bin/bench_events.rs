@@ -16,7 +16,11 @@
 //!     (spatial-index candidates, incremental conflict graph, sharded
 //!     re-allocation, memoized goodput table) — the path built for
 //!     city-scale deployments, where the exact composite's O(network)
-//!     per-event cost is the bottleneck being measured away.
+//!     per-event cost is the bottleneck being measured away;
+//!   - the 400-AP city grid runs once more on an exact controller
+//!     (no goodput table, only the exact per-SNR estimate memo): the
+//!     `city-exact` row, which measures what the quantized table still
+//!     buys over exact estimation at city scale.
 
 use acorn_bench::{header, save_json};
 use acorn_core::{AcornConfig, AcornController};
@@ -47,6 +51,10 @@ struct ScenarioBench {
     wall_s: f64,
     events_per_s: f64,
     reallocations: u64,
+    /// Exact estimate-memo hits and misses over the run (`None` on a
+    /// goodput-table controller, which has no memo).
+    memo_hits: Option<u64>,
+    memo_misses: Option<u64>,
 }
 
 #[derive(Serialize)]
@@ -146,19 +154,27 @@ fn composite(side: usize, seed: u64) -> (ScenarioBench, TelemetrySnapshot) {
             wall_s: wall,
             events_per_s: report.stats.events as f64 / wall,
             reallocations: report.realloc.len() as u64,
+            memo_hits: ctl.memo_stats().map(|m| m.hits),
+            memo_misses: ctl.memo_stats().map(|m| m.misses),
         },
         report.telemetry,
     )
 }
 
-fn city(districts_per_side: usize, seed: u64) -> ScenarioBench {
+/// A city run; `exact` swaps the goodput-table controller for an exact
+/// one (estimate memo only).
+fn city(districts_per_side: usize, seed: u64, exact: bool) -> ScenarioBench {
     let aps_per_district_side = 4usize;
     let n_aps = districts_per_side * districts_per_side * aps_per_district_side.pow(2);
     let sessions = scaled_sessions(n_aps, seed);
     let n_clients = sessions.len().max(1);
     let wlan = city_grid(districts_per_side, aps_per_district_side, n_clients, seed);
-    let table = Arc::new(GoodputTable::new(LinkQualityEstimator::default()));
-    let ctl = AcornController::with_table(AcornConfig::default(), table);
+    let ctl = if exact {
+        AcornController::new(AcornConfig::default())
+    } else {
+        let table = Arc::new(GoodputTable::new(LinkQualityEstimator::default()));
+        AcornController::with_table(AcornConfig::default(), table)
+    };
     let scenario = CityScenario {
         wlan,
         sessions: sessions.clone(),
@@ -179,7 +195,7 @@ fn city(districts_per_side: usize, seed: u64) -> ScenarioBench {
     let report = scenario.run(&ctl);
     let wall = t0.elapsed().as_secs_f64();
     ScenarioBench {
-        mode: "city",
+        mode: if exact { "city-exact" } else { "city" },
         n_aps,
         n_clients,
         sessions: sessions.len(),
@@ -187,6 +203,8 @@ fn city(districts_per_side: usize, seed: u64) -> ScenarioBench {
         wall_s: wall,
         events_per_s: report.stats.events as f64 / wall,
         reallocations: report.realloc.len() as u64,
+        memo_hits: ctl.memo_stats().map(|m| m.hits),
+        memo_misses: ctl.memo_stats().map(|m| m.misses),
     }
 }
 
@@ -195,6 +213,9 @@ fn print_row(b: &ScenarioBench) {
         "[{}] {} APs, {} clients, {} sessions: {} events in {:.3} s -> {:.0} events/s ({} reallocations)",
         b.mode, b.n_aps, b.n_clients, b.sessions, b.events, b.wall_s, b.events_per_s, b.reallocations
     );
+    if let (Some(hits), Some(misses)) = (b.memo_hits, b.memo_misses) {
+        println!("  estimate memo: {hits} hits, {misses} misses");
+    }
 }
 
 fn main() {
@@ -211,11 +232,12 @@ fn main() {
     save_json("events_composite", &telemetry);
     scenarios.push(b);
 
-    for districts in [5usize, 25] {
+    for (districts, exact) in [(5usize, false), (25, false), (5, true)] {
+        let path = if exact { "exact memo" } else { "goodput table" };
         header(&format!(
-            "event runtime: city churn+drift, {districts}x{districts} districts x 16 APs"
+            "event runtime: city churn+drift, {districts}x{districts} districts x 16 APs, {path}"
         ));
-        let b = city(districts, 42);
+        let b = city(districts, 42, exact);
         print_row(&b);
         scenarios.push(b);
     }

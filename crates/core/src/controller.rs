@@ -28,8 +28,8 @@ use acorn_mac::contention::access_share;
 use acorn_mac::timing::delivery_delay_s;
 use acorn_obs::{names, NullSink, Sink};
 use acorn_phy::estimator::LinkQualityEstimator;
-use acorn_phy::{ChannelWidth, GoodputTable};
-use acorn_topology::{ApId, ChannelAssignment, ChannelPlan, ClientId, Wlan};
+use acorn_phy::{ChannelWidth, EstimateMemo, GoodputTable, MemoStats};
+use acorn_topology::{ApId, ChannelAssignment, ChannelPlan, ClientId, InterferenceGraph, Wlan};
 use acorn_traces::REALLOCATION_PERIOD_S;
 use std::sync::Arc;
 
@@ -126,14 +126,22 @@ pub struct AcornController {
     /// controller builds (and with any other controller clone). `None`
     /// keeps the exact per-call estimator pipeline.
     table: Option<Arc<GoodputTable>>,
+    /// Exact per-SNR estimate memo of the table-less path, filled with
+    /// the estimator `config` held at construction and shared with every
+    /// model this controller builds (and with any clone). `None` on a
+    /// table controller.
+    memo: Option<Arc<EstimateMemo>>,
 }
 
 impl AcornController {
-    /// Creates a controller using the exact estimator pipeline.
+    /// Creates a controller using the exact estimator pipeline, with an
+    /// exact per-SNR estimate memo so unchanged links are not
+    /// re-estimated (see DESIGN.md §13.3).
     pub fn new(config: AcornConfig) -> AcornController {
         AcornController {
             config,
             table: None,
+            memo: Some(Arc::new(EstimateMemo::new(config.estimator))),
         }
     }
 
@@ -146,12 +154,30 @@ impl AcornController {
         AcornController {
             config,
             table: Some(table),
+            memo: None,
         }
     }
 
     /// The attached goodput table, if any.
     pub fn table(&self) -> Option<&Arc<GoodputTable>> {
         self.table.as_ref()
+    }
+
+    /// The estimate memo, if this is a table-less controller whose
+    /// `config.estimator` is still the one the memo was filled with.
+    /// `config` is public, so a caller may change the estimator after
+    /// construction; the memo is then bypassed rather than trusted.
+    fn memo(&self) -> Option<&Arc<EstimateMemo>> {
+        self.memo
+            .as_ref()
+            .filter(|m| *m.estimator() == self.config.estimator)
+    }
+
+    /// Hit/miss counters and size of the estimate memo (`None` on a table
+    /// controller). Shared by clones, so the counts are cumulative over
+    /// every controller holding the memo.
+    pub fn memo_stats(&self) -> Option<MemoStats> {
+        self.memo.as_ref().map(|m| m.stats())
     }
 
     /// Fresh state: random channels (the Algorithm 2 starting point), no
@@ -182,16 +208,19 @@ impl AcornController {
                     .collect()
             })
             .collect();
-        match &self.table {
-            Some(t) => {
-                NetworkModel::with_table(graph, cells, Arc::clone(t), self.config.payload_bytes)
-            }
-            None => NetworkModel::with_config(
-                graph,
-                cells,
-                self.config.estimator,
-                self.config.payload_bytes,
-            ),
+        self.model_from(graph, cells)
+    }
+
+    /// Builds a model over an already derived interference graph and
+    /// per-AP cells, predicting through this controller's goodput table,
+    /// its estimate memo, or (when the memo is bypassed) the plain exact
+    /// estimator.
+    pub fn model_from(&self, graph: InterferenceGraph, cells: Vec<Vec<ClientSnr>>) -> NetworkModel {
+        let payload = self.config.payload_bytes;
+        match (&self.table, self.memo()) {
+            (Some(t), _) => NetworkModel::with_table(graph, cells, Arc::clone(t), payload),
+            (None, Some(m)) => NetworkModel::with_memo(graph, cells, Arc::clone(m), payload),
+            (None, None) => NetworkModel::with_config(graph, cells, self.config.estimator, payload),
         }
     }
 
@@ -213,9 +242,10 @@ impl AcornController {
     /// given 20 MHz-referenced SNR, at a width — the per-client `d_u`
     /// ACORN beacons advertise.
     pub fn delay_from_snr(&self, snr20_db: f64, width: ChannelWidth) -> f64 {
-        let est = match &self.table {
-            Some(t) => t.estimate(snr20_db, ChannelWidth::Ht20),
-            None => self.config.estimator.estimate(snr20_db, ChannelWidth::Ht20),
+        let est = match (&self.table, self.memo()) {
+            (Some(t), _) => t.estimate(snr20_db, ChannelWidth::Ht20),
+            (None, Some(m)) => m.estimate(snr20_db),
+            (None, None) => self.config.estimator.estimate(snr20_db, ChannelWidth::Ht20),
         };
         let point = est.rate_point(width);
         delivery_delay_s(
@@ -551,32 +581,38 @@ impl AcornController {
     /// (effective widths and contention).
     pub fn ap_throughput_bps(&self, wlan: &Wlan, state: &NetworkState, ap: ApId) -> f64 {
         let model = self.build_model(wlan, state);
-        let eff = state.effective_assignments();
-        let m = access_share(&model.graph, &eff, ap);
-        model
-            .cell_airtime(ap, state.operating_width[ap.0])
-            .cell_throughput_bps(m)
+        ap_term(&model, &state.effective_assignments(), state, ap)
     }
 
     /// Predicted aggregate network throughput under the current state.
     pub fn total_throughput_bps(&self, wlan: &Wlan, state: &NetworkState) -> f64 {
-        (0..wlan.aps.len())
-            .map(|i| self.ap_throughput_bps(wlan, state, ApId(i)))
-            .sum()
+        self.total_throughput_bps_up(wlan, state, &[])
     }
 
     /// Aggregate throughput counting only the APs marked up in `up`
-    /// (missing entries count as up). With every AP up this is
-    /// bit-identical to [`AcornController::total_throughput_bps`]: same
-    /// per-AP terms, same summation order. A crashed AP's cell simply
-    /// contributes zero — its orphaned clients are the fault layer's
-    /// problem to re-associate.
+    /// (missing entries count as up). Builds one model and sums the
+    /// up APs' [`AcornController::ap_throughput_bps`] terms in AP order,
+    /// so with every AP up it is bit-identical to
+    /// [`AcornController::total_throughput_bps`]. A crashed AP's cell
+    /// simply contributes zero — its orphaned clients are the fault
+    /// layer's problem to re-associate.
     pub fn total_throughput_bps_up(&self, wlan: &Wlan, state: &NetworkState, up: &[bool]) -> f64 {
+        let model = self.build_model(wlan, state);
+        let eff = state.effective_assignments();
         (0..wlan.aps.len())
             .filter(|&i| up.get(i).copied().unwrap_or(true))
-            .map(|i| self.ap_throughput_bps(wlan, state, ApId(i)))
+            .map(|i| ap_term(&model, &eff, state, ApId(i)))
             .sum()
     }
+}
+
+/// One AP's predicted cell throughput at its operating width and its
+/// access share under the effective assignments `eff`.
+fn ap_term(model: &NetworkModel, eff: &[ChannelAssignment], state: &NetworkState, ap: ApId) -> f64 {
+    let m = access_share(&model.graph, eff, ap);
+    model
+        .cell_airtime(ap, state.operating_width[ap.0])
+        .cell_throughput_bps(m)
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@ use acorn_mac::airtime::{CellAirtime, ClientLink};
 use acorn_mac::contention::{access_share, access_share_with};
 use acorn_obs::{names, Sink};
 use acorn_phy::estimator::LinkQualityEstimator;
-use acorn_phy::{ChannelWidth, GoodputTable};
+use acorn_phy::{ChannelWidth, EstimateMemo, GoodputTable};
 use acorn_topology::{ApId, ChannelAssignment, InterferenceGraph};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -240,8 +240,9 @@ pub struct ClientSnr {
 /// automatically whenever [`set_estimator`](NetworkModel::set_estimator),
 /// [`set_payload_bytes`](NetworkModel::set_payload_bytes) or
 /// [`set_cells`](NetworkModel::set_cells) mutate its inputs, so the model
-/// is always consistent, holds no interior mutability, and is `Sync` —
-/// the parallel evaluation engine shares it across threads.
+/// is always consistent and `Sync` — the parallel evaluation engine
+/// shares it across threads. Its only shared mutable parts are counters
+/// and the exact estimate memo, neither of which can change an output.
 #[derive(Debug, Clone)]
 pub struct NetworkModel {
     /// AP-level interference graph (footnote 5 semantics).
@@ -260,6 +261,10 @@ pub struct NetworkModel {
     /// Where this model's last flush left off in the shared table's
     /// cumulative counters (see [`TableFlushCursor`]).
     table_cursor: TableFlushCursor,
+    /// Optional exact per-SNR estimate memo for the table-less path,
+    /// shared by `Arc` with the controller that built the model. Present
+    /// only while its estimator is this model's estimator.
+    memo: Option<Arc<EstimateMemo>>,
     stats: ModelStats,
 }
 
@@ -285,19 +290,22 @@ impl NetworkModel {
         estimator: LinkQualityEstimator,
         payload_bytes: u32,
     ) -> NetworkModel {
-        assert_eq!(graph.len(), cells.len(), "one cell per AP");
-        let mut model = NetworkModel {
-            graph,
-            cells,
-            estimator,
-            payload_bytes,
-            cell_base: Vec::new(),
-            table: None,
-            table_cursor: TableFlushCursor::at_attach(None),
-            stats: ModelStats::default(),
-        };
-        model.rebuild_cell_base();
-        model
+        NetworkModel::assemble(graph, cells, estimator, payload_bytes, None, None)
+    }
+
+    /// Creates an exact model whose per-client estimates go through a
+    /// shared [`EstimateMemo`]: the model adopts the memo's estimator, and
+    /// every prediction is bit-identical to
+    /// [`with_config`](NetworkModel::with_config) with that estimator —
+    /// only repeated SNRs stop re-running the union-bound search.
+    pub fn with_memo(
+        graph: InterferenceGraph,
+        cells: Vec<Vec<ClientSnr>>,
+        memo: Arc<EstimateMemo>,
+        payload_bytes: u32,
+    ) -> NetworkModel {
+        let estimator = *memo.estimator();
+        NetworkModel::assemble(graph, cells, estimator, payload_bytes, None, Some(memo))
     }
 
     /// Creates a model whose per-client rate/PER predictions come from a
@@ -311,17 +319,31 @@ impl NetworkModel {
         table: Arc<GoodputTable>,
         payload_bytes: u32,
     ) -> NetworkModel {
-        assert_eq!(graph.len(), cells.len(), "one cell per AP");
         let estimator = *table.estimator();
-        let table_cursor = TableFlushCursor::at_attach(Some(&table));
+        NetworkModel::assemble(graph, cells, estimator, payload_bytes, Some(table), None)
+    }
+
+    /// The constructors' common body: one cell per AP, then one cache
+    /// build through whichever predictor is attached.
+    fn assemble(
+        graph: InterferenceGraph,
+        cells: Vec<Vec<ClientSnr>>,
+        estimator: LinkQualityEstimator,
+        payload_bytes: u32,
+        table: Option<Arc<GoodputTable>>,
+        memo: Option<Arc<EstimateMemo>>,
+    ) -> NetworkModel {
+        assert_eq!(graph.len(), cells.len(), "one cell per AP");
+        let table_cursor = TableFlushCursor::at_attach(table.as_ref());
         let mut model = NetworkModel {
             graph,
             cells,
             estimator,
             payload_bytes,
             cell_base: Vec::new(),
-            table: Some(table),
+            table,
             table_cursor,
+            memo,
             stats: ModelStats::default(),
         };
         model.rebuild_cell_base();
@@ -367,13 +389,14 @@ impl NetworkModel {
     }
 
     /// Replaces the estimator and rebuilds the throughput table. Any
-    /// attached memoized table is detached — it baked in the previous
-    /// estimator; attach a fresh one via [`set_table`]
+    /// attached memoized table or estimate memo is detached — both baked
+    /// in the previous estimator; attach a fresh table via [`set_table`]
     /// (NetworkModel::set_table) to restore memoization.
     pub fn set_estimator(&mut self, estimator: LinkQualityEstimator) {
         self.estimator = estimator;
         self.table = None;
         self.table_cursor = TableFlushCursor::at_attach(None);
+        self.memo = None;
         self.rebuild_cell_base();
     }
 
@@ -402,13 +425,20 @@ impl NetworkModel {
         self.table.as_ref()
     }
 
+    /// The exact estimate memo, when one is attached.
+    pub fn memo(&self) -> Option<&Arc<EstimateMemo>> {
+        self.memo.as_ref()
+    }
+
     /// Attaches (or detaches) a memoized goodput table and rebuilds the
     /// throughput cache through it. Attaching a table also adopts its
-    /// estimator configuration, keeping the two consistent.
+    /// estimator configuration, keeping the two consistent; either way
+    /// the estimate memo, if any, is detached.
     pub fn set_table(&mut self, table: Option<Arc<GoodputTable>>) {
         if let Some(t) = &table {
             self.estimator = *t.estimator();
         }
+        self.memo = None;
         self.table_cursor = TableFlushCursor::at_attach(table.as_ref());
         self.table = table;
         self.rebuild_cell_base();
@@ -494,6 +524,7 @@ impl NetworkModel {
             cell_base,
             table: self.table.clone(),
             table_cursor: self.table_cursor.clone(),
+            memo: self.memo.clone(),
             stats: ModelStats::default(),
         }
     }
@@ -518,16 +549,18 @@ impl NetworkModel {
 
     /// Predicts the MAC-layer operating point of a client at a width —
     /// through the memoized table when one is attached, the exact §4.2
-    /// pipeline otherwise.
+    /// pipeline otherwise (through the estimate memo when one is
+    /// attached).
     pub fn client_link(&self, snr20_db: f64, width: ChannelWidth) -> ClientLink {
-        let point = match &self.table {
-            Some(t) => {
+        let point = match (&self.table, &self.memo) {
+            (Some(t), _) => {
                 let snr = self
                     .estimator
                     .calibrate_snr(snr20_db, ChannelWidth::Ht20, width);
                 t.rate_point(snr, width)
             }
-            None => self
+            (None, Some(memo)) => memo.estimate(snr20_db).rate_point(width),
+            (None, None) => self
                 .estimator
                 .estimate(snr20_db, ChannelWidth::Ht20)
                 .rate_point(width),

@@ -29,9 +29,10 @@
 //! * The §5.2 width adaptation is evaluated only for the AP whose cell
 //!   just changed (arrival/departure) or for all APs after a
 //!   re-allocation — never network-wide per event.
-//! * Faults and per-client mobility are not part of this scenario class;
-//!   client positions are fixed for the run (shadowing drift still
-//!   re-samples every active link's SNR).
+//! * Per-client mobility is not part of this scenario class; client
+//!   positions are fixed for the run (shadowing drift still re-samples
+//!   every active link's SNR). Faults are: [`CityScenario::faults`]
+//!   drives the localized [`CityFaultProcess`].
 //!
 //! Determinism is inherited wholesale: handlers are sequential, the
 //! client-edge multiset lives in `BTreeMap`s (ordered iteration), and the
@@ -52,7 +53,6 @@ use acorn_phy::ChannelWidth;
 use acorn_topology::{ApId, ChannelAssignment, ClientId, InterferenceGraph, SpatialGrid, Wlan};
 use acorn_traces::Session;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// The incrementally-maintained city world.
 pub struct CityWorld {
@@ -339,17 +339,7 @@ impl CityWorld {
                     .collect()
             })
             .collect();
-        match self.ctl.table() {
-            Some(t) => {
-                NetworkModel::with_table(graph, cells, Arc::clone(t), self.ctl.config.payload_bytes)
-            }
-            None => NetworkModel::with_config(
-                graph,
-                cells,
-                self.ctl.config.estimator,
-                self.ctl.config.payload_bytes,
-            ),
-        }
+        self.ctl.model_from(graph, cells)
     }
 
     /// Refreshes every active client's cached SNR (after a drift step
@@ -778,6 +768,7 @@ mod tests {
     use acorn_phy::estimator::LinkQualityEstimator;
     use acorn_phy::GoodputTable;
     use acorn_topology::Point;
+    use std::sync::Arc;
 
     /// Two 2-AP districts 400 m apart (mirroring the `city_grid` layout
     /// without depending on `acorn-sim`), clients near each district.

@@ -74,6 +74,18 @@ impl CodeRate {
     }
 }
 
+/// Largest Hamming distance any [`CodeRate::distance_spectrum`] reaches
+/// (rate 1/2: `dfree = 10` plus ten more terms).
+const MAX_DISTANCE: usize = 20;
+
+/// `ln(n!)` for `n = 0..=MAX_DISTANCE`, each entry summed as
+/// `Σ_{i=1}^{n} ln i` in ascending order — the same expression, and so the
+/// same bits, as summing it afresh on every call.
+fn ln_factorials() -> &'static [f64; MAX_DISTANCE + 1] {
+    static TABLE: std::sync::OnceLock<[f64; MAX_DISTANCE + 1]> = std::sync::OnceLock::new();
+    TABLE.get_or_init(|| std::array::from_fn(|n| (1..=n as i64).map(|i| (i as f64).ln()).sum()))
+}
+
 /// Probability of a pairwise error event at Hamming distance `d` on a binary
 /// symmetric channel with crossover probability `p` (hard-decision Viterbi).
 ///
@@ -92,7 +104,7 @@ fn pairwise_error_probability(d: u32, p: f64) -> f64 {
     // overflow for larger d.
     let lp = p.ln();
     let lq = (1.0 - p).ln();
-    let ln_fact = |n: i64| -> f64 { (1..=n).map(|i| (i as f64).ln()).sum() };
+    let ln_fact = |n: i64| ln_factorials()[n as usize];
     let lfd = ln_fact(d);
     let start = d / 2 + 1;
     for k in start..=d {
@@ -147,6 +159,22 @@ pub fn per_from_ber_bytes(ber: f64, packet_len_bytes: u32) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn tabulated_ln_factorials_match_the_running_sum_bit_for_bit() {
+        let ln_fact = |n: i64| -> f64 { (1..=n).map(|i| (i as f64).ln()).sum() };
+        for d in 0..=MAX_DISTANCE {
+            assert_eq!(
+                ln_factorials()[d].to_bits(),
+                ln_fact(d as i64).to_bits(),
+                "d={d}"
+            );
+        }
+        for r in CodeRate::ALL {
+            let reach = r.free_distance() as usize + r.distance_spectrum().len() - 1;
+            assert!(reach <= MAX_DISTANCE, "{r:?} reaches d={reach}");
+        }
+    }
 
     #[test]
     fn pairwise_error_zero_and_half() {

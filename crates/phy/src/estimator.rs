@@ -19,6 +19,7 @@
 //! [`LinkClass`], derived by comparing the link's best achievable goodput
 //! with and without bonding.
 
+use crate::coding::per_from_ber_bytes;
 use crate::link::cb_snr_shift_db;
 use crate::mcs::{McsIndex, MimoMode};
 use crate::ofdm::{ChannelWidth, GuardInterval};
@@ -144,17 +145,22 @@ impl LinkQualityEstimator {
     /// (LinkQualityEstimator::best_rate_point) and the memoized
     /// `GoodputTable` build call, so the exact and tabulated paths always
     /// share the same error model (crisp AWGN or fading-averaged).
+    ///
+    /// The coded BER is evaluated once per SNR point and the PER derived
+    /// from it, so the result equals `(mcs.coded_ber(s), mcs.per(s, L))`
+    /// (or the two `fading::faded_*` averages) bit for bit at half the
+    /// union-bound evaluations.
     pub fn error_rates(&self, mcs: &crate::mcs::Mcs, eff_snr_db: f64) -> (f64, f64) {
         if self.fading_sigma_db > 0.0 {
-            (
-                crate::fading::faded_coded_ber(mcs, eff_snr_db, self.fading_sigma_db),
-                crate::fading::faded_per(mcs, eff_snr_db, self.fading_sigma_db, self.packet_bytes),
+            crate::fading::faded_error_rates(
+                mcs,
+                eff_snr_db,
+                self.fading_sigma_db,
+                self.packet_bytes,
             )
         } else {
-            (
-                mcs.coded_ber(eff_snr_db),
-                mcs.per(eff_snr_db, self.packet_bytes),
-            )
+            let cb = mcs.coded_ber(eff_snr_db);
+            (cb, per_from_ber_bytes(cb, self.packet_bytes))
         }
     }
 
@@ -353,6 +359,20 @@ mod tests {
             assert_eq!(batched[i], e.estimate(snr, at), "cell {i}");
         }
         assert!(e.estimate_grid(&[]).is_empty());
+    }
+
+    #[test]
+    fn error_rates_equal_the_separate_mcs_calls_bit_for_bit() {
+        let e = LinkQualityEstimator::default();
+        for idx in McsIndex::all() {
+            let mcs = idx.mcs();
+            for i in 0..=400 {
+                let snr = -10.0 + i as f64 * 0.125;
+                let (cb, per) = e.error_rates(&mcs, snr);
+                assert_eq!(cb.to_bits(), mcs.coded_ber(snr).to_bits(), "{idx:?} {snr}");
+                assert_eq!(per.to_bits(), mcs.per(snr, 1500).to_bits(), "{idx:?} {snr}");
+            }
+        }
     }
 
     #[test]

@@ -16,6 +16,7 @@
 //! (0 = plain AWGN, the default, which keeps the analytic reproduction of
 //! Table 1 crisp).
 
+use crate::coding::per_from_ber_bytes;
 use crate::mcs::Mcs;
 
 /// 7-point Gauss–Hermite abscissae (for ∫ e^{−x²} f(x) dx).
@@ -52,6 +53,38 @@ pub fn gaussian_snr_average<F: Fn(f64) -> f64>(snr_db: f64, sigma_db: f64, f: F)
         .map(|(&x, &w)| w * f(snr_db + std::f64::consts::SQRT_2 * sigma_db * x))
         .sum::<f64>()
         / norm
+}
+
+/// Fading-averaged `(coded BER, PER)` of an MCS at mean per-stream SNR in
+/// one pass over the quadrature points: each point's coded BER is computed
+/// once and its PER derived from it. Both averages keep the summation
+/// order of [`gaussian_snr_average`], so the pair equals
+/// `(faded_coded_ber(..), faded_per(..))` bit for bit.
+pub fn faded_error_rates(
+    mcs: &Mcs,
+    mean_snr_db: f64,
+    sigma_db: f64,
+    packet_bytes: u32,
+) -> (f64, f64) {
+    if sigma_db <= 0.0 {
+        let cb = mcs.coded_ber(mean_snr_db);
+        return (
+            cb.clamp(0.0, 0.5),
+            per_from_ber_bytes(cb, packet_bytes).clamp(0.0, 1.0),
+        );
+    }
+    let mut ber_terms = [0.0; 7];
+    let mut per_terms = [0.0; 7];
+    for (i, (&x, &w)) in GH_X.iter().zip(GH_W.iter()).enumerate() {
+        let cb = mcs.coded_ber(mean_snr_db + std::f64::consts::SQRT_2 * sigma_db * x);
+        ber_terms[i] = w * cb;
+        per_terms[i] = w * per_from_ber_bytes(cb, packet_bytes);
+    }
+    let norm = std::f64::consts::PI.sqrt();
+    (
+        (ber_terms.iter().sum::<f64>() / norm).clamp(0.0, 0.5),
+        (per_terms.iter().sum::<f64>() / norm).clamp(0.0, 1.0),
+    )
 }
 
 /// Fading-averaged packet error rate of an MCS at mean per-stream SNR.
@@ -161,6 +194,30 @@ mod tests {
             band(3.0),
             band(0.0)
         );
+    }
+
+    #[test]
+    fn fused_error_rates_equal_the_two_averages_bit_for_bit() {
+        for sigma in [0.0, 1.0, 3.0, 5.0] {
+            for idx in McsIndex::all() {
+                let m = idx.mcs();
+                for i in 0..=240 {
+                    let snr = -20.0 + i as f64 * 0.25;
+                    let (cb, per) = faded_error_rates(&m, snr, sigma, 1500);
+                    let at = format!("σ={sigma} {idx:?} {snr} dB");
+                    assert_eq!(
+                        cb.to_bits(),
+                        faded_coded_ber(&m, snr, sigma).to_bits(),
+                        "{at}"
+                    );
+                    assert_eq!(
+                        per.to_bits(),
+                        faded_per(&m, snr, sigma, 1500).to_bits(),
+                        "{at}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

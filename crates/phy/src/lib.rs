@@ -17,7 +17,8 @@
 //!   search (Table 1) ([`link`]).
 //! * ACORN's link-quality estimator pipeline from §4.2: SNR calibration →
 //!   BER estimation → PER estimation → good/poor classification
-//!   ([`estimator`]).
+//!   ([`estimator`]), with an exact per-SNR memo of it ([`memo`]) and a
+//!   quantized goodput table ([`table`]).
 //!
 //! Everything here is pure, deterministic math; the Monte-Carlo baseband
 //! (the WARP-board substitute) lives in `acorn-baseband`.
@@ -30,6 +31,7 @@ pub mod estimator;
 pub mod fading;
 pub mod link;
 pub mod mcs;
+pub mod memo;
 pub mod modulation;
 pub mod noise;
 pub mod ofdm;
@@ -38,9 +40,10 @@ pub mod units;
 
 pub use coding::{coded_ber, per_from_ber, CodeRate};
 pub use estimator::{LinkClass, LinkQualityEstimate, LinkQualityEstimator};
-pub use fading::{faded_coded_ber, faded_per, gaussian_snr_average};
+pub use fading::{faded_coded_ber, faded_error_rates, faded_per, gaussian_snr_average};
 pub use link::{cb_snr_shift_db, sigma, sigma_crossover_snr, LinkBudget};
 pub use mcs::{Mcs, McsIndex, MimoMode};
+pub use memo::{EstimateMemo, MemoStats};
 pub use modulation::Modulation;
 pub use noise::noise_floor_dbm;
 pub use ofdm::{ChannelWidth, GuardInterval, OfdmParams};

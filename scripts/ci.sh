@@ -9,6 +9,10 @@
 #   4. release build,
 #   5. the root test suite (tier-1: reproduction guards, properties,
 #      determinism, resilience, event-runtime goldens),
+#   5a. the exact-estimator oracle gate: every shortcut on the exact
+#      §4.2 path (tabulated union bound, fused error rates, per-SNR
+#      estimate memo, one-model throughput total) is bit-identical to
+#      the computation it replaced,
 #   5b. the distributed golden-twin gate: the zone-controller plane's
 #      benign-path allocation must equal the centralized controller's
 #      exactly, and partitions must degrade per-zone only,
@@ -25,7 +29,10 @@
 #      bit, including the hard-coded pre-port fingerprints. The
 #      determinism sweep runs with a RecordingSink attached and asserts
 #      byte-stable snapshot JSON; the resilience suite records through
-#      the events-layer sinks (faults.*, csa.*, iapp.* counters).
+#      the events-layer sinks (faults.*, csa.*, iapp.* counters),
+#   8. the benchmark package's own tests (acornbench/, built against the
+#      workspace crates by path), so an API change that would break the
+#      benchmark fails here first.
 #
 # Usage: scripts/ci.sh
 set -euo pipefail
@@ -101,6 +108,18 @@ echo "== goodput-table accuracy gate =="
 cargo test -q --offline --release --test table_accuracy --test spatial_graph
 
 echo
+echo "== exact-estimator oracle gate =="
+# The exact path's shortcuts must not move a bit: the tabulated ln(n!)
+# union bound and the fused coded-BER/PER evaluation against
+# fingerprints of the unshortcut code, the per-SNR estimate memo against
+# fresh estimates, the one-model throughput total against the per-AP
+# sum, and the memo's invalidation rules. The phy unit tests pin the
+# ln(n!) table and the fused fading pass against the functions they
+# replace.
+cargo test -q --offline --release --test estimator_oracle
+cargo test -q --offline --release -p acorn-phy --lib
+
+echo
 echo "== dynamic-channel-bonding gate =="
 # The DCB event simulator must land within the documented tolerance of
 # the exactly solved Faridi-style CTMC on every cross-check topology x
@@ -151,6 +170,13 @@ for t in 1 2 8; do
         --test determinism --test event_runtime --test resilience
 done
 cargo test -q --offline --release --test baseband_determinism
+
+echo
+echo "== benchmark tests =="
+# The benchmark is a package of its own that builds against the
+# workspace crates by path; its tests catch API drift that would break
+# it.
+cargo test --release --offline --manifest-path acornbench/Cargo.toml
 
 echo
 echo "== city-scale determinism (10k APs, sharded + memoized) =="

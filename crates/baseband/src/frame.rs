@@ -467,7 +467,7 @@ impl FrameWorkspace {
 
     /// Runs one packet per seed through the pipeline, appending a
     /// [`PacketOutcome`] per packet to `outcomes` (cleared first). This is
-    /// the batched engine entry: config validation, the [`ensure`]d
+    /// the batched engine entry: config validation, the `ensure`d
     /// precomputations (FFT plan, training grid, preamble) and the obs
     /// setup are hoisted out of the per-packet loop, so per-packet fixed
     /// costs amortize over the batch. Packet `k` runs on

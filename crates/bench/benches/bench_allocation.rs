@@ -2,7 +2,7 @@
 //! and Table 3 — including its scaling in network size and channel count,
 //! and the ε-stopping-rule ablation.
 
-use acorn_core::allocation::{allocate_from_random, AllocationConfig};
+use acorn_core::allocation::{allocate_with_restarts, AllocationConfig};
 use acorn_core::model::{ClientSnr, NetworkModel};
 use acorn_topology::{ChannelPlan, InterferenceGraph};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -27,7 +27,9 @@ fn bench_scaling_in_aps(c: &mut Criterion) {
         let m = model(n, 3);
         let plan = ChannelPlan::full_5ghz();
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| allocate_from_random(black_box(&m), &plan, &AllocationConfig::default(), 1))
+            b.iter(|| {
+                allocate_with_restarts(black_box(&m), &plan, &AllocationConfig::default(), 0, 1)
+            })
         });
     }
     group.finish();
@@ -39,7 +41,9 @@ fn bench_scaling_in_channels(c: &mut Criterion) {
     for ch in [2u8, 4, 6, 12] {
         let plan = ChannelPlan::restricted(ch);
         group.bench_with_input(BenchmarkId::from_parameter(ch), &ch, |b, _| {
-            b.iter(|| allocate_from_random(black_box(&m), &plan, &AllocationConfig::default(), 1))
+            b.iter(|| {
+                allocate_with_restarts(black_box(&m), &plan, &AllocationConfig::default(), 0, 1)
+            })
         });
     }
     group.finish();
@@ -55,7 +59,7 @@ fn bench_epsilon_ablation(c: &mut Criterion) {
             max_rounds: 64,
         };
         group.bench_with_input(BenchmarkId::from_parameter(eps), &eps, |b, _| {
-            b.iter(|| allocate_from_random(black_box(&m), &plan, &cfg, 1))
+            b.iter(|| allocate_with_restarts(black_box(&m), &plan, &cfg, 0, 1))
         });
     }
     group.finish();

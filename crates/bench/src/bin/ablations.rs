@@ -10,12 +10,13 @@
 
 use acorn_baselines::simple::associate_rssi;
 use acorn_bench::{header, mbps, print_table, save_json};
-use acorn_core::allocation::{allocate, random_initial, AllocationConfig};
+use acorn_core::allocation::{allocate_with_restarts, random_initial, AllocationConfig};
 use acorn_core::association::choose_ap_selfish;
 use acorn_core::model::{ClientSnr, NetworkModel, ThroughputModel};
 use acorn_core::{AcornConfig, AcornController};
 use acorn_mac::airtime::{CellAirtime, ClientLink};
 use acorn_mac::contention::access_share;
+use acorn_obs::NullSink;
 use acorn_phy::ChannelWidth;
 use acorn_sim::runner::evaluate_analytic;
 use acorn_sim::scenario::topology2;
@@ -63,7 +64,7 @@ fn ablate_epsilon(out: &mut Ablations) {
         let trials = 12;
         for seed in 0..trials {
             let m = grid_model(seed);
-            let r = allocate(&m, &plan, random_initial(&plan, 6, seed), &cfg);
+            let r = allocate_with_restarts(&m, &plan, &cfg, 0, seed);
             y += r.total_bps / trials as f64;
             iters += r.iterations as f64 / trials as f64;
         }
@@ -100,7 +101,7 @@ fn ablate_association(out: &mut Ablations) {
                 }
             }
         }
-        ctl.reallocate_with_restarts(&wlan, &mut state, 8, 5);
+        ctl.reallocate(&wlan, &mut state, 8, 5, &NullSink);
         let y = evaluate_analytic(
             &wlan,
             &state.assignments,
@@ -162,10 +163,10 @@ fn ablate_calibration(out: &mut Ablations) {
     for seed in 100..100 + trials {
         let m = grid_model(seed);
         // Plan with the calibrated model (the real ACORN).
-        let r_cal = allocate(&m, &plan, random_initial(&plan, 6, seed), &cfg);
+        let r_cal = allocate_with_restarts(&m, &plan, &cfg, 0, seed);
         // Plan with the uncalibrated model, then score with the TRUE model.
         let uncal = Uncalibrated(&m);
-        let r_uncal = allocate(&uncal, &plan, random_initial(&plan, 6, seed), &cfg);
+        let r_uncal = allocate_with_restarts(&uncal, &plan, &cfg, 0, seed);
         let y_true_uncal = m.total_bps(&r_uncal.assignments);
         y_cal += r_cal.total_bps / trials as f64;
         y_uncal += y_true_uncal / trials as f64;
@@ -230,8 +231,7 @@ fn ablate_rank_order(out: &mut Ablations) {
     let mut y_rand = 0.0;
     for seed in 200..200 + trials {
         let m = grid_model(seed);
-        y_rank +=
-            allocate(&m, &plan, random_initial(&plan, 6, seed), &cfg).total_bps / trials as f64;
+        y_rank += allocate_with_restarts(&m, &plan, &cfg, 0, seed).total_bps / trials as f64;
         y_rand += allocate_random_order(&m, &plan, seed) / trials as f64;
     }
     print_table(

@@ -12,6 +12,7 @@
 use acorn_baselines::kauffmann::{allocate_aggressive_cb, associate as kauffmann_choice};
 use acorn_bench::{header, mbps, print_table, save_json};
 use acorn_core::{AcornConfig, AcornController};
+use acorn_obs::NullSink;
 use acorn_sim::runner::evaluate_analytic;
 use acorn_sim::scenario::{topology1, topology2};
 use acorn_sim::traffic::Traffic;
@@ -38,14 +39,14 @@ fn run_acorn(wlan: &Wlan, plan: ChannelPlan) -> (Vec<f64>, f64, Vec<String>) {
     for c in 0..wlan.clients.len() {
         ctl.associate(wlan, &mut state, ClientId(c));
     }
-    ctl.reallocate_with_restarts(wlan, &mut state, 8, 11);
+    ctl.reallocate(wlan, &mut state, 8, 11, &NullSink);
     // Association can now be revisited under the final channels (the paper
     // interleaves the two modules); one more pass settles it.
     for c in 0..wlan.clients.len() {
         ctl.deassociate(&mut state, ClientId(c));
         ctl.associate(wlan, &mut state, ClientId(c));
     }
-    ctl.reallocate_with_restarts(wlan, &mut state, 8, 13);
+    ctl.reallocate(wlan, &mut state, 8, 13, &NullSink);
     let eval = evaluate_analytic(
         wlan,
         &state.assignments,

@@ -8,6 +8,7 @@
 use acorn_baselines::simple::random_config;
 use acorn_bench::{header, mbps, print_table, save_json};
 use acorn_core::{AcornConfig, AcornController};
+use acorn_obs::NullSink;
 use acorn_sim::runner::evaluate_analytic;
 use acorn_sim::scenario::enterprise_grid;
 use acorn_sim::traffic::Traffic;
@@ -41,12 +42,12 @@ fn main() {
     for c in 0..wlan.clients.len() {
         ctl.associate(&wlan, &mut state, ClientId(c));
     }
-    ctl.reallocate_with_restarts(&wlan, &mut state, 10, 17);
+    ctl.reallocate(&wlan, &mut state, 10, 17, &NullSink);
     for c in 0..wlan.clients.len() {
         ctl.deassociate(&mut state, ClientId(c));
         ctl.associate(&wlan, &mut state, ClientId(c));
     }
-    ctl.reallocate_with_restarts(&wlan, &mut state, 10, 19);
+    ctl.reallocate(&wlan, &mut state, 10, 19, &NullSink);
     let eval = |assignments: &[acorn_topology::ChannelAssignment],
                 assoc: &[Option<acorn_topology::ApId>],
                 traffic| {

@@ -7,11 +7,34 @@
 //! counting global allocator `acorn-bench` installs, so the claim is
 //! measured rather than asserted on faith. `scripts/ci.sh` runs it as the
 //! overhead gate.
+//!
+//! The counting allocator is process-global, so a count is only meaningful
+//! while no other thread allocates: every test here holds [`serial`] for
+//! its whole run, keeping the harness's parallel test threads out of each
+//! other's measurements.
 
 use acorn_baseband::{mix_seed, FrameConfig, FrameWorkspace};
 use acorn_bench::alloc_counter::allocations_during;
 use acorn_obs::{NullSink, RecordingSink, Sink};
 use acorn_phy::ChannelWidth;
+use std::sync::{Mutex, MutexGuard};
+use std::time::Duration;
+
+/// Serializes this file's tests (see the module docs). A test that fails
+/// while holding the lock poisons it; the others still run.
+///
+/// When one test releases the lock, the harness starts the next test's
+/// thread, which allocates its name and output buffer before it blocks
+/// here. The short settle after acquiring keeps that start-up out of the
+/// measured window.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    let guard = SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
+    std::thread::sleep(Duration::from_millis(20));
+    guard
+}
 
 fn warm_config() -> FrameConfig {
     let mut cfg = FrameConfig::baseline(ChannelWidth::Ht20);
@@ -21,6 +44,7 @@ fn warm_config() -> FrameConfig {
 
 #[test]
 fn null_sink_keeps_the_packet_path_allocation_free() {
+    let _serial = serial();
     let cfg = warm_config();
     let mut ws = FrameWorkspace::new();
     // Warm-up: buffers grow to steady state on the first packets.
@@ -40,6 +64,7 @@ fn null_sink_keeps_the_packet_path_allocation_free() {
 
 #[test]
 fn plain_and_null_sink_paths_are_bit_identical() {
+    let _serial = serial();
     let cfg = warm_config();
     let mut ws_plain = FrameWorkspace::new();
     let mut ws_obs = FrameWorkspace::new();
@@ -58,6 +83,7 @@ fn plain_and_null_sink_paths_are_bit_identical() {
 
 #[test]
 fn batched_null_sink_path_is_allocation_free() {
+    let _serial = serial();
     let cfg = warm_config();
     let mut ws = FrameWorkspace::new();
     let seeds: Vec<u64> = (0..16u64).map(|i| mix_seed(7, i)).collect();
@@ -77,6 +103,7 @@ fn batched_null_sink_path_is_allocation_free() {
 
 #[test]
 fn batched_and_per_packet_paths_are_bit_identical() {
+    let _serial = serial();
     let cfg = warm_config();
     let mut ws_seq = FrameWorkspace::new();
     let mut ws_batch = FrameWorkspace::new();
@@ -97,6 +124,7 @@ fn batched_and_per_packet_paths_are_bit_identical() {
 
 #[test]
 fn null_sink_spans_report_no_wall_time() {
+    let _serial = serial();
     // The NullSink must never ask for wall-clock time: that is what makes
     // the disabled spans free and the deterministic contract trivial.
     assert!(!NullSink.enabled());

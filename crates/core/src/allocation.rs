@@ -25,17 +25,18 @@
 //! ## Evaluation engine
 //!
 //! Candidate scoring uses [`ThroughputModel::best_switch`] — on
-//! [`NetworkModel`](crate::model::NetworkModel) the whole colour scan
-//! costs O(Δ) because a switch only perturbs the AP and its neighbours,
-//! not a full-network recompute per colour — and fans the per-AP ranking
-//! out over [`crate::par::par_map`]. Restarts parallelize across seeds
-//! the same way. Both reductions are order-stable, so results are
-//! bit-identical for every thread count (`ACORN_THREADS=1` included).
+//! [`NetworkModel`] the whole colour scan costs O(Δ) because a switch only
+//! perturbs the AP and its neighbours, not a full-network recompute per
+//! colour — and fans the per-AP ranking out over [`crate::par::par_map`].
+//! The restart hedge ([`allocate`], [`allocate_sharded`]) fans its
+//! attempts out the same way. Both reductions are order-stable, so
+//! results are bit-identical for every thread count (`ACORN_THREADS=1`
+//! included).
 
 use crate::model::{NetworkModel, ThroughputModel};
 use crate::par;
 use acorn_obs::{names, NullSink, Sink};
-use acorn_topology::{ApId, ChannelAssignment, ChannelPlan};
+use acorn_topology::{ApId, Channel20, ChannelAssignment, ChannelPlan};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -60,7 +61,7 @@ impl Default for AllocationConfig {
 }
 
 /// Output of one allocation run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct AllocationResult {
     /// The final channel assignment `F`.
     pub assignments: Vec<ChannelAssignment>,
@@ -85,21 +86,229 @@ pub fn random_initial(plan: &ChannelPlan, n_aps: usize, seed: u64) -> Vec<Channe
         .collect()
 }
 
-/// Runs Algorithm 2 from a given initial assignment.
-pub fn allocate<M: ThroughputModel + Sync>(
+/// What one Algorithm 2 call runs: an optional current-start run hedged
+/// by `restarts` random starts.
+///
+/// Attempt 0 is the run from `start` (when given); the random attempts
+/// follow, the `k`-th drawing its initial assignment from `seed + k`. A
+/// spec with neither a start nor restarts still makes one random run
+/// from `seed`.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct AllocSpec {
+    /// Initial assignment of the current-start run, one per AP; `None`
+    /// runs only the random hedge.
+    pub start: Option<Vec<ChannelAssignment>>,
+    /// Random-start attempts hedging the current-start run.
+    pub restarts: usize,
+    /// Seed of the first random attempt.
+    pub seed: u64,
+}
+
+impl AllocSpec {
+    /// The spec shard `index` (the APs `nodes`, ascending) runs inside
+    /// [`allocate_sharded`]: the start sliced to the shard, and the seed
+    /// schedule `seed + index·restarts + k` for its `k`-th random attempt.
+    /// The zone view (`AcornController::reallocate_zone`) replays a shard
+    /// exactly by running [`allocate`] on this spec.
+    pub(crate) fn for_shard(&self, index: usize, nodes: &[usize]) -> AllocSpec {
+        AllocSpec {
+            start: self
+                .start
+                .as_ref()
+                .map(|start| nodes.iter().map(|&i| start[i]).collect()),
+            restarts: self.restarts,
+            seed: self.seed.wrapping_add((index * self.restarts) as u64),
+        }
+    }
+
+    fn attempts(&self) -> usize {
+        (usize::from(self.start.is_some()) + self.restarts).max(1)
+    }
+}
+
+/// Runs Algorithm 2 as `spec` says and returns the best attempt. The
+/// attempts fan out over [`par::par_map_n`]; the fold keeps the later
+/// random attempt on exact ties inside the hedge, and the current-start
+/// run yields only to a strictly better hedge.
+///
+/// The sink receives, per attempt, the `alloc.runs`, `alloc.rounds`,
+/// `alloc.iterations` and `alloc.switches` counters, plus one
+/// `alloc.restarts` per random attempt. All are commutative adds, so the
+/// totals are identical at any `ACORN_THREADS`.
+pub fn allocate<M: ThroughputModel + Sync, S: Sink + Sync>(
     model: &M,
+    plan: &ChannelPlan,
+    config: &AllocationConfig,
+    spec: &AllocSpec,
+    sink: &S,
+) -> AllocationResult {
+    let attempts = par::par_map_n(spec.attempts(), |k| {
+        attempt(model, plan, config, spec, k, sink)
+    });
+    fold(attempts, spec.start.is_some())
+}
+
+/// Sharded Algorithm 2: decompose the conflict graph into connected
+/// components and run [`allocate`] on each component's submodel, merging
+/// the per-shard winners into one assignment. Shard `s` starts from its
+/// slice of `spec.start` and seeds its `k`-th random attempt with
+/// `seed + s·restarts + k`.
+///
+/// Correctness rests on the objective being separable across components:
+/// an AP's access share depends only on its graph neighbours, so
+/// `Y = Σ_shards Y_shard` and no switch inside one shard can change
+/// another shard's throughput.
+///
+/// Determinism: components come ordered by smallest vertex, every
+/// `(shard, attempt)` pair fans out flat through the order-stable
+/// [`par::par_map_n`], and the folds run sequentially in shard order, so
+/// the merged result is bit-identical at any `ACORN_THREADS`. A connected
+/// graph runs [`allocate`] on the full model. The sink additionally gets
+/// `alloc.shards` += the component count.
+pub fn allocate_sharded<S: Sink + Sync>(
+    model: &NetworkModel,
+    plan: &ChannelPlan,
+    config: &AllocationConfig,
+    spec: &AllocSpec,
+    sink: &S,
+) -> AllocationResult {
+    let n = model.n_aps();
+    if let Some(start) = &spec.start {
+        assert_eq!(start.len(), n, "one initial assignment per AP");
+    }
+    let components = model.graph.connected_components();
+    if sink.enabled() {
+        sink.add(names::ALLOC_SHARDS, components.len().max(1) as u64);
+    }
+    if components.len() <= 1 {
+        return allocate(model, plan, config, spec, sink);
+    }
+
+    // Per-shard submodels (cheap: cell-base rows are copied, not
+    // re-estimated) and specs.
+    let shards: Vec<(NetworkModel, AllocSpec, Vec<usize>)> = components
+        .into_iter()
+        .enumerate()
+        .map(|(s, nodes)| (model.restrict(&nodes), spec.for_shard(s, &nodes), nodes))
+        .collect();
+    let per_shard = spec.attempts();
+    let results = par::par_map_n(shards.len() * per_shard, |t| {
+        let (sub, shard_spec, _) = &shards[t / per_shard];
+        attempt(sub, plan, config, shard_spec, t % per_shard, sink)
+    });
+
+    // Deterministic merge in shard order: scatter each shard winner back
+    // to global AP indices, sum the work counters, and concatenate the
+    // per-shard convergence histories. Every AP lies in exactly one
+    // component, so each placeholder slot is overwritten.
+    let mut merged = AllocationResult {
+        assignments: vec![ChannelAssignment::Single(Channel20(0)); n],
+        ..AllocationResult::default()
+    };
+    let mut results = results.into_iter();
+    for (_, shard_spec, nodes) in &shards {
+        let winner = fold(results.by_ref().take(per_shard), shard_spec.start.is_some());
+        for (&global, &a) in nodes.iter().zip(&winner.assignments) {
+            merged.assignments[global] = a;
+        }
+        merged.iterations += winner.iterations;
+        merged.switches += winner.switches;
+        merged.history_bps.extend(winner.history_bps);
+    }
+    // One full evaluation re-anchors the headline number, exactly as the
+    // unsharded path does.
+    merged.total_bps = model.total_bps(&merged.assignments);
+    merged
+}
+
+/// Multi-restart allocation: the best of `restarts` random starts. A
+/// standard hedge for gradient-style local search — the greedy has an
+/// O(1/(Δ+1)) worst case precisely because single runs can stall in local
+/// optima (e.g. a bond parked on the wrong AP with no improving
+/// unilateral move). [`allocate`] with no start and no sink.
+pub fn allocate_with_restarts<M: ThroughputModel + Sync>(
+    model: &M,
+    plan: &ChannelPlan,
+    config: &AllocationConfig,
+    restarts: usize,
+    seed: u64,
+) -> AllocationResult {
+    let spec = AllocSpec {
+        start: None,
+        restarts,
+        seed,
+    };
+    allocate(model, plan, config, &spec, &NullSink)
+}
+
+/// [`allocate_sharded`] from `initial`, hedged by `restarts` random starts
+/// per shard, with no sink.
+pub fn allocate_sharded_with_restarts(
+    model: &NetworkModel,
     plan: &ChannelPlan,
     initial: Vec<ChannelAssignment>,
     config: &AllocationConfig,
+    restarts: usize,
+    seed: u64,
 ) -> AllocationResult {
-    allocate_obs(model, plan, initial, config, &NullSink)
+    let spec = AllocSpec {
+        start: Some(initial),
+        restarts,
+        seed,
+    };
+    allocate_sharded(model, plan, config, &spec, &NullSink)
 }
 
-/// [`allocate`] reporting into a metric sink: `alloc.runs`,
-/// `alloc.rounds`, `alloc.iterations`, and `alloc.switches` counters,
-/// emitted once per run as commutative adds — safe to share one sink
-/// across the restart fan-out.
-pub fn allocate_obs<M: ThroughputModel + Sync, S: Sink>(
+/// Attempt `k` of `spec`: the current-start run, or a random start.
+fn attempt<M: ThroughputModel + Sync, S: Sink>(
+    model: &M,
+    plan: &ChannelPlan,
+    config: &AllocationConfig,
+    spec: &AllocSpec,
+    k: usize,
+    sink: &S,
+) -> AllocationResult {
+    let initial = match (&spec.start, k) {
+        (Some(start), 0) => start.clone(),
+        (start, k) => {
+            if sink.enabled() {
+                sink.inc(names::ALLOC_RESTARTS);
+            }
+            let h = k - usize::from(start.is_some());
+            random_initial(plan, model.n_aps(), spec.seed.wrapping_add(h as u64))
+        }
+    };
+    greedy(model, plan, initial, config, sink)
+}
+
+/// Folds one spec's attempts, in attempt order, into the winner: inside
+/// the hedge the later attempt wins exact ties; the current-start run
+/// (attempt 0 when `has_start`) yields only to a strictly better hedge.
+/// Allocation totals are finite by construction, so the comparisons are
+/// NaN-free.
+fn fold(attempts: impl IntoIterator<Item = AllocationResult>, has_start: bool) -> AllocationResult {
+    attempts
+        .into_iter()
+        .enumerate()
+        .reduce(|(i, best), (k, r)| {
+            let wins = if has_start && i == 0 {
+                r.total_bps > best.total_bps
+            } else {
+                r.total_bps >= best.total_bps
+            };
+            if wins {
+                (k, r)
+            } else {
+                (i, best)
+            }
+        })
+        .map(|(_, r)| r)
+        .unwrap_or_default()
+}
+
+/// One greedy run of Algorithm 2 from `initial`, reporting its per-run
+/// `alloc.*` counters.
+fn greedy<M: ThroughputModel + Sync, S: Sink>(
     model: &M,
     plan: &ChannelPlan,
     initial: Vec<ChannelAssignment>,
@@ -185,272 +394,11 @@ pub fn allocate_obs<M: ThroughputModel + Sync, S: Sink>(
     }
 }
 
-/// Convenience: random initialization + allocation.
-pub fn allocate_from_random<M: ThroughputModel + Sync>(
-    model: &M,
-    plan: &ChannelPlan,
-    config: &AllocationConfig,
-    seed: u64,
-) -> AllocationResult {
-    allocate_from_random_obs(model, plan, config, seed, &NullSink)
-}
-
-/// [`allocate_from_random`] reporting into a metric sink.
-pub fn allocate_from_random_obs<M: ThroughputModel + Sync, S: Sink>(
-    model: &M,
-    plan: &ChannelPlan,
-    config: &AllocationConfig,
-    seed: u64,
-    sink: &S,
-) -> AllocationResult {
-    let initial = random_initial(plan, model.n_aps(), seed);
-    allocate_obs(model, plan, initial, config, sink)
-}
-
-/// Multi-restart allocation: runs Algorithm 2 from `restarts` random
-/// initial assignments and keeps the best outcome. A standard hedge for
-/// gradient-style local search — the greedy has an O(1/(Δ+1)) worst case
-/// precisely because single runs can stall in local optima (e.g. a bond
-/// parked on the wrong AP with no improving unilateral move).
-pub fn allocate_with_restarts<M: ThroughputModel + Sync>(
-    model: &M,
-    plan: &ChannelPlan,
-    config: &AllocationConfig,
-    restarts: usize,
-    seed: u64,
-) -> AllocationResult {
-    allocate_with_restarts_obs(model, plan, config, restarts, seed, &NullSink)
-}
-
-/// [`allocate_with_restarts`] reporting into a metric sink shared across
-/// the restart fan-out (hence `S: Sync`). Each restart emits its own
-/// per-run counters plus one `alloc.restarts` increment; all of them are
-/// commutative adds, so the recorded totals are identical at any
-/// `ACORN_THREADS`.
-pub fn allocate_with_restarts_obs<M: ThroughputModel + Sync, S: Sink + Sync>(
-    model: &M,
-    plan: &ChannelPlan,
-    config: &AllocationConfig,
-    restarts: usize,
-    seed: u64,
-    sink: &S,
-) -> AllocationResult {
-    // Restarts are fully independent (each derives its own seed from its
-    // index), so they fan out; the max-fold runs in seed order with last
-    // max winning on exact ties, matching the sequential `max_by`.
-    // `restarts = 0` degrades to a single run rather than aborting —
-    // allocation totals are finite by construction, so the fold is
-    // NaN-free and needs no fallible comparator.
-    par::par_map_n(restarts, |i| {
-        if sink.enabled() {
-            sink.inc(names::ALLOC_RESTARTS);
-        }
-        allocate_from_random_obs(model, plan, config, seed.wrapping_add(i as u64), sink)
-    })
-    .into_iter()
-    .reduce(|best, r| {
-        if r.total_bps >= best.total_bps {
-            r
-        } else {
-            best
-        }
-    })
-    .unwrap_or_else(|| allocate_from_random_obs(model, plan, config, seed, sink))
-}
-
-/// One shard's slice of [`allocate_sharded_with_restarts_obs`]: the
-/// current-start attempt plus that shard's restart hedge, folded under
-/// the exact same tie rules (later random attempt wins exact ties among
-/// the hedge; the hedge replaces the current-start winner only on a
-/// strict improvement) and the exact same seed schedule
-/// (`seed + shard_index·restarts + attempt - 1`).
-///
-/// This is the distributed control plane's zone-view entry point: a zone
-/// controller that holds only its own component's submodel
-/// ([`NetworkModel::restrict`](crate::model::NetworkModel::restrict))
-/// and knows its index in the canonical component ordering reproduces
-/// the centralized sharded allocator's decision for that component
-/// bit-for-bit — the golden-twin property the benign distributed path is
-/// gated on. On a single-component graph, `shard_index = 0` makes the
-/// schedule coincide with the centralized single-shard fast path.
-pub fn allocate_shard_slice_obs<M: ThroughputModel + Sync, S: Sink + Sync>(
-    sub: &M,
-    plan: &ChannelPlan,
-    init: Vec<ChannelAssignment>,
-    config: &AllocationConfig,
-    restarts: usize,
-    seed: u64,
-    shard_index: usize,
-    sink: &S,
-) -> AllocationResult {
-    let per_shard = restarts + 1;
-    let attempts: Vec<AllocationResult> = par::par_map_n(per_shard, |k| {
-        if k == 0 {
-            allocate_obs(sub, plan, init.clone(), config, sink)
-        } else {
-            if sink.enabled() {
-                sink.inc(names::ALLOC_RESTARTS);
-            }
-            let attempt_seed = seed.wrapping_add((shard_index * restarts + k - 1) as u64);
-            allocate_from_random_obs(sub, plan, config, attempt_seed, sink)
-        }
-    });
-    let mut attempts = attempts.into_iter();
-    let best = attempts
-        .next()
-        .unwrap_or_else(|| allocate_obs(sub, plan, init, config, sink));
-    let hedged = attempts.reduce(|b, r| if r.total_bps >= b.total_bps { r } else { b });
-    match hedged {
-        Some(h) if h.total_bps > best.total_bps => h,
-        _ => best,
-    }
-}
-
-/// Sharded Algorithm 2: decompose the conflict graph into connected
-/// components and solve each independently — a current-assignment run
-/// plus a `restarts`-way random hedge per shard — merging the per-shard
-/// winners into one assignment.
-///
-/// Correctness rests on the objective being separable across components:
-/// an AP's access share depends only on its graph neighbours, so
-/// `Y = Σ_shards Y_shard` and no switch inside one shard can change
-/// another shard's throughput. Each shard keeping its own better of
-/// (current-start, hedge) can therefore only improve on hedging the
-/// whole network with a single winner.
-///
-/// Determinism: components come ordered by smallest vertex, the
-/// `(shard, attempt)` tasks fan out through the order-stable
-/// [`par::par_map_n`], restart seeds are a pure function of the shard and
-/// attempt indices, and every fold runs sequentially in task order — the
-/// merged result is bit-identical at any `ACORN_THREADS`. On a connected
-/// graph this degrades to exactly the current-start + restart-hedge
-/// composition on the full model (same seeds, same tie rules).
-pub fn allocate_sharded_with_restarts(
-    model: &NetworkModel,
-    plan: &ChannelPlan,
-    initial: Vec<ChannelAssignment>,
-    config: &AllocationConfig,
-    restarts: usize,
-    seed: u64,
-) -> AllocationResult {
-    allocate_sharded_with_restarts_obs(model, plan, initial, config, restarts, seed, &NullSink)
-}
-
-/// [`allocate_sharded_with_restarts`] reporting into a metric sink: the
-/// per-run `alloc.*` counters of every attempt, one `alloc.restarts`
-/// increment per random attempt, and `alloc.shards` += the component
-/// count. All adds commute, so totals are thread-count invariant.
-pub fn allocate_sharded_with_restarts_obs<S: Sink + Sync>(
-    model: &NetworkModel,
-    plan: &ChannelPlan,
-    initial: Vec<ChannelAssignment>,
-    config: &AllocationConfig,
-    restarts: usize,
-    seed: u64,
-    sink: &S,
-) -> AllocationResult {
-    let n = model.n_aps();
-    assert_eq!(initial.len(), n, "one initial assignment per AP");
-    let components = model.graph.connected_components();
-    if sink.enabled() {
-        sink.add(names::ALLOC_SHARDS, components.len().max(1) as u64);
-    }
-
-    // Pick the better of a current-start run and the restart hedge; the
-    // current assignment wins exact ties (strict `>`), matching the
-    // controller's historical composition.
-    let pick = |best: AllocationResult, hedged: Option<AllocationResult>| match hedged {
-        Some(h) if h.total_bps > best.total_bps => h,
-        _ => best,
-    };
-
-    if components.len() <= 1 {
-        // Connected (or empty) graph: run on the full model directly so
-        // the result is exactly the unsharded composition.
-        let attempts: Vec<AllocationResult> = par::par_map_n(restarts + 1, |k| {
-            if k == 0 {
-                allocate_obs(model, plan, initial.clone(), config, sink)
-            } else {
-                if sink.enabled() {
-                    sink.inc(names::ALLOC_RESTARTS);
-                }
-                allocate_from_random_obs(model, plan, config, seed.wrapping_add(k as u64 - 1), sink)
-            }
-        });
-        let mut attempts = attempts.into_iter();
-        let best = attempts
-            .next()
-            .unwrap_or_else(|| allocate_obs(model, plan, initial, config, sink));
-        let hedged = attempts.reduce(|b, r| if r.total_bps >= b.total_bps { r } else { b });
-        return pick(best, hedged);
-    }
-
-    // Build the per-shard submodels (cheap: cell-base rows are copied,
-    // not re-estimated) and shard-local initial assignments.
-    let shards: Vec<(Vec<usize>, NetworkModel, Vec<ChannelAssignment>)> = components
-        .into_iter()
-        .map(|nodes| {
-            let sub = model.restrict(&nodes);
-            let init: Vec<ChannelAssignment> = nodes.iter().map(|&i| initial[i]).collect();
-            (nodes, sub, init)
-        })
-        .collect();
-
-    // Fan every (shard, attempt) pair out flat: attempt 0 is the
-    // current-start run, attempts 1..=restarts are the random hedge.
-    let per_shard = restarts + 1;
-    let results: Vec<AllocationResult> = par::par_map_n(shards.len() * per_shard, |t| {
-        let (s, k) = (t / per_shard, t % per_shard);
-        let (_, sub, init) = &shards[s];
-        if k == 0 {
-            allocate_obs(sub, plan, init.clone(), config, sink)
-        } else {
-            if sink.enabled() {
-                sink.inc(names::ALLOC_RESTARTS);
-            }
-            let attempt_seed = seed.wrapping_add((s * restarts + k - 1) as u64);
-            allocate_from_random_obs(sub, plan, config, attempt_seed, sink)
-        }
-    });
-
-    // Deterministic merge in shard order: scatter each shard winner back
-    // to global AP indices, sum the work counters, and concatenate the
-    // per-shard convergence histories.
-    let mut merged = initial;
-    let mut iterations = 0usize;
-    let mut switches = 0usize;
-    let mut history = Vec::new();
-    for (s, (nodes, _, _)) in shards.iter().enumerate() {
-        let mut chunk = results[s * per_shard..(s + 1) * per_shard].iter().cloned();
-        let Some(best) = chunk.next() else {
-            continue; // unreachable: every shard ran `per_shard >= 1` attempts
-        };
-        let hedged = chunk.reduce(|b, r| if r.total_bps >= b.total_bps { r } else { b });
-        let winner = pick(best, hedged);
-        for (local, &global) in nodes.iter().enumerate() {
-            merged[global] = winner.assignments[local];
-        }
-        iterations += winner.iterations;
-        switches += winner.switches;
-        history.extend(winner.history_bps);
-    }
-    // One full evaluation re-anchors the headline number, exactly as the
-    // unsharded path does.
-    let total_bps = model.total_bps(&merged);
-    AllocationResult {
-        assignments: merged,
-        total_bps,
-        iterations,
-        switches,
-        history_bps: history,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{ClientSnr, NetworkModel};
-    use acorn_topology::{Channel20, InterferenceGraph};
+    use crate::model::ClientSnr;
+    use acorn_topology::InterferenceGraph;
 
     fn model(snrs_per_ap: &[&[f64]], graph: InterferenceGraph) -> NetworkModel {
         let cells = snrs_per_ap
@@ -472,6 +420,20 @@ mod tests {
         ChannelAssignment::Single(Channel20(c))
     }
 
+    /// One greedy run from `initial`.
+    fn from(
+        m: &NetworkModel,
+        plan: &ChannelPlan,
+        initial: Vec<ChannelAssignment>,
+        cfg: &AllocationConfig,
+    ) -> AllocationResult {
+        let spec = AllocSpec {
+            start: Some(initial),
+            ..AllocSpec::default()
+        };
+        allocate(m, plan, cfg, &spec, &NullSink)
+    }
+
     #[test]
     fn never_decreases_throughput() {
         let m = model(
@@ -482,7 +444,7 @@ mod tests {
         for seed in 0..10 {
             let initial = random_initial(&plan, 3, seed);
             let y0 = m.total_bps(&initial);
-            let r = allocate(&m, &plan, initial, &AllocationConfig::default());
+            let r = from(&m, &plan, initial, &AllocationConfig::default());
             assert!(r.total_bps + 1e-6 >= y0, "seed {seed}");
             // History is monotone.
             for w in r.history_bps.windows(2) {
@@ -497,7 +459,7 @@ mod tests {
         // a 40 MHz channel.
         let m = model(&[&[30.0, 28.0]], InterferenceGraph::new(1));
         let plan = ChannelPlan::full_5ghz();
-        let r = allocate(&m, &plan, vec![single(0)], &AllocationConfig::default());
+        let r = from(&m, &plan, vec![single(0)], &AllocationConfig::default());
         assert_eq!(
             r.assignments[0].width(),
             acorn_phy::ChannelWidth::Ht40,
@@ -511,7 +473,7 @@ mod tests {
         let m = model(&[&[2.0, 1.0]], InterferenceGraph::new(1));
         let plan = ChannelPlan::full_5ghz();
         let bonded0 = ChannelAssignment::bonded(Channel20(0)).unwrap();
-        let r = allocate(&m, &plan, vec![bonded0], &AllocationConfig::default());
+        let r = from(&m, &plan, vec![bonded0], &AllocationConfig::default());
         assert_eq!(r.assignments[0].width(), acorn_phy::ChannelWidth::Ht20);
     }
 
@@ -521,7 +483,7 @@ mod tests {
         // optimum is two disjoint bonds; at minimum they must not overlap.
         let m = model(&[&[30.0], &[30.0]], InterferenceGraph::complete(2));
         let plan = ChannelPlan::restricted(4);
-        let r = allocate(
+        let r = from(
             &m,
             &plan,
             vec![single(0), single(0)],
@@ -565,7 +527,7 @@ mod tests {
             epsilon: 1.0,
             max_rounds: 64,
         };
-        let r = allocate_from_random(&m, &plan, &cfg, 3);
+        let r = allocate_with_restarts(&m, &plan, &cfg, 0, 3);
         // No single AP can improve the total by moving.
         for i in 0..3 {
             let mut alt = r.assignments.clone();
@@ -594,7 +556,7 @@ mod tests {
     fn illegal_initial_panics() {
         let m = model(&[&[20.0]], InterferenceGraph::new(1));
         let plan = ChannelPlan::restricted(2);
-        allocate(&m, &plan, vec![single(7)], &AllocationConfig::default());
+        from(&m, &plan, vec![single(7)], &AllocationConfig::default());
     }
 
     #[test]
@@ -607,7 +569,12 @@ mod tests {
         let plan = ChannelPlan::restricted(4);
         let cfg = AllocationConfig::default();
         let sink = RecordingSink::new();
-        let r_obs = allocate_with_restarts_obs(&m, &plan, &cfg, 4, 11, &sink);
+        let spec = AllocSpec {
+            start: None,
+            restarts: 4,
+            seed: 11,
+        };
+        let r_obs = allocate(&m, &plan, &cfg, &spec, &sink);
         let r_plain = allocate_with_restarts(&m, &plan, &cfg, 4, 11);
         assert_eq!(r_obs, r_plain, "instrumentation must not change results");
         sink.with_telemetry(|t| {
@@ -628,7 +595,7 @@ mod tests {
         let cfg = AllocationConfig::default();
         let initial = random_initial(&plan, 3, 5);
         let sharded = allocate_sharded_with_restarts(&m, &plan, initial.clone(), &cfg, 4, 11);
-        let best = allocate(&m, &plan, initial, &cfg);
+        let best = from(&m, &plan, initial, &cfg);
         let hedged = allocate_with_restarts(&m, &plan, &cfg, 4, 11);
         let expect = if hedged.total_bps > best.total_bps {
             hedged
@@ -656,7 +623,7 @@ mod tests {
         for (s, nodes) in m.graph.connected_components().iter().enumerate() {
             let sub = m.restrict(nodes);
             let init: Vec<_> = nodes.iter().map(|&i| initial[i]).collect();
-            let best = allocate(&sub, &plan, init, &cfg);
+            let best = from(&sub, &plan, init, &cfg);
             let hedged = allocate_with_restarts(
                 &sub,
                 &plan,
@@ -693,7 +660,12 @@ mod tests {
         let initial = random_initial(&plan, 6, 9);
         let y0 = m.total_bps(&initial);
         let sink = RecordingSink::new();
-        let r = allocate_sharded_with_restarts_obs(&m, &plan, initial, &cfg, 2, 3, &sink);
+        let spec = AllocSpec {
+            start: Some(initial),
+            restarts: 2,
+            seed: 3,
+        };
+        let r = allocate_sharded(&m, &plan, &cfg, &spec, &sink);
         assert!(r.total_bps + 1e-6 >= y0);
         sink.with_telemetry(|t| {
             assert_eq!(t.counter(names::ALLOC_SHARDS), 3);
@@ -710,8 +682,8 @@ mod tests {
             &[&[20.0], &[18.0], &[16.0], &[14.0]],
             InterferenceGraph::complete(4),
         );
-        let rs = allocate_from_random(&small, &plan, &AllocationConfig::default(), 1);
-        let rl = allocate_from_random(&large, &plan, &AllocationConfig::default(), 1);
+        let rs = allocate_with_restarts(&small, &plan, &AllocationConfig::default(), 0, 1);
+        let rl = allocate_with_restarts(&large, &plan, &AllocationConfig::default(), 0, 1);
         assert!(rl.iterations > rs.iterations);
     }
 }

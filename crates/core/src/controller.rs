@@ -18,8 +18,7 @@
 //!   ([`AcornController::adapt_widths`]).
 
 use crate::allocation::{
-    allocate_obs, allocate_shard_slice_obs, allocate_sharded_with_restarts_obs,
-    allocate_with_restarts_obs, random_initial, AllocationConfig, AllocationResult,
+    allocate, allocate_sharded, random_initial, AllocSpec, AllocationConfig, AllocationResult,
 };
 use crate::association::{choose_ap_obs, Candidate};
 use crate::beacon::Beacon;
@@ -340,56 +339,18 @@ impl AcornController {
     }
 
     /// Algorithm 2: re-allocates channels from the current assignment,
-    /// mutating the state (and resetting opportunistic widths to the new
-    /// assignments' full widths).
-    pub fn reallocate(&self, wlan: &Wlan, state: &mut NetworkState) -> AllocationResult {
-        self.reallocate_obs(wlan, state, &NullSink)
-    }
-
-    /// [`AcornController::reallocate`] reporting into a metric sink: the
-    /// `alloc.*` run counters, the model's `model.*` evaluation counters
-    /// (flushed sequentially after the run), a `controller.obs_epochs`
-    /// counter, and a `controller.total_bps` gauge.
-    pub fn reallocate_obs<S: Sink + Sync>(
-        &self,
-        wlan: &Wlan,
-        state: &mut NetworkState,
-        sink: &S,
-    ) -> AllocationResult {
-        let model = self.build_model(wlan, state);
-        let result = allocate_obs(
-            &model,
-            &self.config.plan,
-            state.assignments.clone(),
-            &self.config.allocation,
-            sink,
-        );
-        state.assignments = result.assignments.clone();
-        state.operating_width = state.assignments.iter().map(|a| a.width()).collect();
-        self.finish_epoch_obs(&model, result.total_bps, sink);
-        result
-    }
-
-    /// Like [`AcornController::reallocate`], but hedged with `restarts`
-    /// random initial assignments (keeping the best outcome) — the
-    /// configuration the evaluation harness uses, since single greedy runs
-    /// can stall in local optima.
-    pub fn reallocate_with_restarts(
-        &self,
-        wlan: &Wlan,
-        state: &mut NetworkState,
-        restarts: usize,
-        seed: u64,
-    ) -> AllocationResult {
-        self.reallocate_with_restarts_obs(wlan, state, restarts, seed, &NullSink)
-    }
-
-    /// [`AcornController::reallocate_with_restarts`] reporting into a
-    /// metric sink. The sink is shared across the restart fan-out
-    /// (counters only there — commutative adds keep the totals
-    /// thread-invariant); the model-stats flush and the epoch gauge run
-    /// here, sequentially, after the fan-out has joined.
-    pub fn reallocate_with_restarts_obs<S: Sink + Sync>(
+    /// hedged by `restarts` random starts per connected component of the
+    /// conflict graph ([`allocate_sharded`]), mutating the state and
+    /// resetting opportunistic widths to the new assignments' full
+    /// widths. With `restarts = 0` this is the plain greedy continuation;
+    /// the evaluation harness hedges because single greedy runs can stall
+    /// in local optima.
+    ///
+    /// The sink receives the `alloc.*` counters (including
+    /// `alloc.shards`) from the attempt fan-out, then, sequentially after
+    /// it has joined, the model's `model.*`/table counters, a
+    /// `controller.obs_epochs` counter and a `controller.total_bps` gauge.
+    pub fn reallocate<S: Sink + Sync>(
         &self,
         wlan: &Wlan,
         state: &mut NetworkState,
@@ -398,81 +359,29 @@ impl AcornController {
         sink: &S,
     ) -> AllocationResult {
         let model = self.build_model(wlan, state);
-        // Include the current assignment as one starting point.
-        let mut best = allocate_obs(
-            &model,
-            &self.config.plan,
-            state.assignments.clone(),
-            &self.config.allocation,
-            sink,
-        );
-        let hedged = allocate_with_restarts_obs(
-            &model,
-            &self.config.plan,
-            &self.config.allocation,
-            restarts.max(1),
-            seed,
-            sink,
-        );
-        if hedged.total_bps > best.total_bps {
-            best = hedged;
-        }
-        state.assignments = best.assignments.clone();
-        state.operating_width = state.assignments.iter().map(|a| a.width()).collect();
-        self.finish_epoch_obs(&model, best.total_bps, sink);
-        best
-    }
-
-    /// Like [`AcornController::reallocate_with_restarts`], but running
-    /// Algorithm 2 independently per connected component of the conflict
-    /// graph through [`allocate_sharded_with_restarts_obs`] — the path
-    /// city-scale deployments use, where the conflict graph splits into
-    /// many distant islands. The current assignment seeds attempt 0 of
-    /// every shard, so with `restarts = 0` on a connected graph this is
-    /// the plain greedy continuation.
-    pub fn reallocate_sharded_with_restarts(
-        &self,
-        wlan: &Wlan,
-        state: &mut NetworkState,
-        restarts: usize,
-        seed: u64,
-    ) -> AllocationResult {
-        self.reallocate_sharded_with_restarts_obs(wlan, state, restarts, seed, &NullSink)
-    }
-
-    /// [`AcornController::reallocate_sharded_with_restarts`] reporting
-    /// into a metric sink (the `alloc.*` counters including
-    /// `alloc.shards`, the model/table counters, and the epoch gauge).
-    pub fn reallocate_sharded_with_restarts_obs<S: Sink + Sync>(
-        &self,
-        wlan: &Wlan,
-        state: &mut NetworkState,
-        restarts: usize,
-        seed: u64,
-        sink: &S,
-    ) -> AllocationResult {
-        let model = self.build_model(wlan, state);
-        let best = allocate_sharded_with_restarts_obs(
-            &model,
-            &self.config.plan,
-            state.assignments.clone(),
-            &self.config.allocation,
+        let spec = AllocSpec {
+            start: Some(state.assignments.clone()),
             restarts,
             seed,
-            sink,
-        );
+        };
+        let (plan, config) = (&self.config.plan, &self.config.allocation);
+        let best = allocate_sharded(&model, plan, config, &spec, sink);
         state.assignments = best.assignments.clone();
         state.operating_width = state.assignments.iter().map(|a| a.width()).collect();
-        self.finish_epoch_obs(&model, best.total_bps, sink);
+        if sink.enabled() {
+            model.flush_stats_into(sink);
+            sink.inc(names::CONTROLLER_EPOCHS);
+            sink.gauge("controller.total_bps", best.total_bps);
+        }
         best
     }
 
     /// The canonical zone decomposition: the connected components of the
     /// interference graph under the current association, each sorted
     /// ascending and ordered by smallest vertex — exactly the component
-    /// order [`allocate_sharded_with_restarts_obs`] shards over, so a
-    /// zone's position in this list is the `shard_index` its zone-view
-    /// reallocation must replay.
+    /// order [`allocate_sharded`] shards over, so a zone's position in
+    /// this list is the `shard_index` its zone-view reallocation must
+    /// replay.
     pub fn zones(&self, wlan: &Wlan, state: &NetworkState) -> Vec<Vec<usize>> {
         wlan.interference_graph(&state.assoc).connected_components()
     }
@@ -482,13 +391,13 @@ impl AcornController {
     /// that slice of the state. `zone_model` must be the submodel for
     /// `nodes` ([`NetworkModel::restrict`] of the full model, or an
     /// equivalently built zone-local model) and `shard_index` the zone's
-    /// position in [`AcornController::zones`]. Given the same per-epoch
-    /// `seed`, the slice this produces is bit-identical to what
-    /// [`AcornController::reallocate_sharded_with_restarts`] assigns
-    /// those APs — the golden-twin contract of the distributed control
-    /// plane.
+    /// position in [`AcornController::zones`]. The run is [`allocate`] on
+    /// the shard's slice of the spec [`AcornController::reallocate`] uses,
+    /// so given the same per-epoch `seed` the slice is bit-identical to
+    /// what `reallocate` assigns those APs — the golden-twin contract of
+    /// the distributed control plane.
     #[allow(clippy::too_many_arguments)]
-    pub fn reallocate_zone_obs<S: Sink + Sync>(
+    pub fn reallocate_zone<S: Sink + Sync>(
         &self,
         zone_model: &NetworkModel,
         state: &mut NetworkState,
@@ -498,33 +407,19 @@ impl AcornController {
         seed: u64,
         sink: &S,
     ) -> AllocationResult {
-        let init: Vec<ChannelAssignment> = nodes.iter().map(|&n| state.assignments[n]).collect();
-        let best = allocate_shard_slice_obs(
-            zone_model,
-            &self.config.plan,
-            init,
-            &self.config.allocation,
+        let spec = AllocSpec {
+            start: Some(state.assignments.clone()),
             restarts,
             seed,
-            shard_index,
-            sink,
-        );
-        for (local, &global) in nodes.iter().enumerate() {
-            state.assignments[global] = best.assignments[local];
-            state.operating_width[global] = best.assignments[local].width();
+        }
+        .for_shard(shard_index, nodes);
+        let (plan, config) = (&self.config.plan, &self.config.allocation);
+        let best = allocate(zone_model, plan, config, &spec, sink);
+        for (&global, &a) in nodes.iter().zip(&best.assignments) {
+            state.assignments[global] = a;
+            state.operating_width[global] = a.width();
         }
         best
-    }
-
-    /// Sequential end-of-epoch reporting shared by the `reallocate*_obs`
-    /// entry points.
-    fn finish_epoch_obs<S: Sink>(&self, model: &NetworkModel, total_bps: f64, sink: &S) {
-        if !sink.enabled() {
-            return;
-        }
-        model.flush_stats_into(sink);
-        sink.inc(names::CONTROLLER_EPOCHS);
-        sink.gauge("controller.total_bps", total_bps);
     }
 
     /// Opportunistic width adaptation (§5.2): each bonded AP compares its
@@ -707,7 +602,7 @@ mod tests {
             c.associate(&w, &mut s, ClientId(cl));
         }
         let before = c.total_throughput_bps(&w, &s);
-        let r = c.reallocate(&w, &mut s);
+        let r = c.reallocate(&w, &mut s, 0, 0, &NullSink);
         let after = c.total_throughput_bps(&w, &s);
         assert!(
             after + 1.0 >= before,
@@ -928,19 +823,32 @@ mod tests {
     #[test]
     fn sharded_reallocation_matches_plain_on_a_connected_wlan() {
         // Two APs 60 m apart interfere, so the conflict graph is one
-        // component and the sharded entry point must reproduce the plain
-        // hedged reallocation bit-for-bit (same seed scheme, same ties).
+        // component and the sharded reallocation must reproduce the plain
+        // composition — a current-start run hedged by a whole-model
+        // restart run — bit-for-bit (same seed scheme, same ties).
+        use crate::allocation::allocate_with_restarts;
         let w = wlan();
         let c = controller();
-        let mut s_plain = c.new_state(&w, 11);
+        let mut s = c.new_state(&w, 11);
         for cl in 0..4 {
-            c.associate(&w, &mut s_plain, ClientId(cl));
+            c.associate(&w, &mut s, ClientId(cl));
         }
-        let mut s_shard = s_plain.clone();
-        let r_plain = c.reallocate_with_restarts(&w, &mut s_plain, 3, 77);
-        let r_shard = c.reallocate_sharded_with_restarts(&w, &mut s_shard, 3, 77);
-        assert_eq!(s_plain.assignments, s_shard.assignments);
-        assert_eq!(r_plain.total_bps.to_bits(), r_shard.total_bps.to_bits());
+        let model = c.build_model(&w, &s);
+        let (plan, cfg) = (&c.config.plan, &c.config.allocation);
+        let spec = AllocSpec {
+            start: Some(s.assignments.clone()),
+            ..AllocSpec::default()
+        };
+        let best = allocate(&model, plan, cfg, &spec, &NullSink);
+        let hedged = allocate_with_restarts(&model, plan, cfg, 3, 77);
+        let expect = if hedged.total_bps > best.total_bps {
+            hedged
+        } else {
+            best
+        };
+        let r = c.reallocate(&w, &mut s, 3, 77, &NullSink);
+        assert_eq!(s.assignments, expect.assignments);
+        assert_eq!(r, expect);
     }
 
     #[test]
@@ -982,7 +890,7 @@ mod tests {
         // Reallocation through the table-backed model lands on an
         // equivalent plan, and the table actually served the queries.
         let before = table.stats().hits;
-        let r = memo.reallocate_sharded_with_restarts(&w, &mut s_memo, 2, 5);
+        let r = memo.reallocate(&w, &mut s_memo, 2, 5, &NullSink);
         assert!(r.total_bps > 0.0);
         assert!(!s_memo.assignments[0].conflicts(s_memo.assignments[1]));
         assert!(table.stats().hits > before, "model must query the table");
@@ -1005,7 +913,7 @@ mod tests {
             memo.associate(&w, &mut s, ClientId(cl));
         }
         let sink = RecordingSink::new();
-        memo.reallocate_sharded_with_restarts_obs(&w, &mut s, 2, 5, &sink);
+        memo.reallocate(&w, &mut s, 2, 5, &sink);
         sink.with_telemetry(|t| {
             assert!(t.counter(names::ALLOC_SHARDS) >= 1);
             assert!(t.counter(names::TABLE_HITS) > 0);
@@ -1054,21 +962,13 @@ mod tests {
         assert_eq!(zones[1], vec![2, 3]);
 
         for (restarts, seed) in [(0usize, 7u64), (3, 7), (2, 991)] {
-            let central = c.reallocate_sharded_with_restarts(&w, &mut s_central, restarts, seed);
+            let central = c.reallocate(&w, &mut s_central, restarts, seed, &NullSink);
             // Zone controllers: each restricts the shared model and solves
             // only its own slice, in any order (slices are disjoint).
             let model = c.build_model(&w, &s_zones);
             for (z, nodes) in zones.iter().enumerate() {
                 let sub = model.restrict(nodes);
-                c.reallocate_zone_obs(
-                    &sub,
-                    &mut s_zones,
-                    nodes,
-                    z,
-                    restarts,
-                    seed,
-                    &acorn_obs::NullSink,
-                );
+                c.reallocate_zone(&sub, &mut s_zones, nodes, z, restarts, seed, &NullSink);
             }
             assert_eq!(
                 s_central.assignments, s_zones.assignments,

@@ -47,10 +47,8 @@ pub mod tracker;
 pub mod wire;
 
 pub use allocation::{
-    allocate, allocate_from_random, allocate_from_random_obs, allocate_obs,
-    allocate_shard_slice_obs, allocate_sharded_with_restarts, allocate_sharded_with_restarts_obs,
-    allocate_with_restarts, allocate_with_restarts_obs, random_initial, AllocationConfig,
-    AllocationResult,
+    allocate, allocate_sharded, allocate_sharded_with_restarts, allocate_with_restarts,
+    random_initial, AllocSpec, AllocationConfig, AllocationResult,
 };
 pub use association::{
     choose_ap, choose_ap_obs, choose_ap_selfish, choose_ap_selfish_obs, screen_score, utility,

@@ -390,8 +390,8 @@ impl NetworkModel {
 
     /// Replaces the estimator and rebuilds the throughput table. Any
     /// attached memoized table or estimate memo is detached — both baked
-    /// in the previous estimator; attach a fresh table via [`set_table`]
-    /// (NetworkModel::set_table) to restore memoization.
+    /// in the previous estimator; attach a fresh table via
+    /// [`set_table`](NetworkModel::set_table) to restore memoization.
     pub fn set_estimator(&mut self, estimator: LinkQualityEstimator) {
         self.estimator = estimator;
         self.table = None;
@@ -609,7 +609,7 @@ impl ThroughputModel for NetworkModel {
     /// else's contender set is untouched), and cell throughput is linear
     /// in the share, so the delta is a sum over that neighbourhood of
     /// `M_new·base − M_old·base` — each term exactly the difference of
-    /// the corresponding [`ap_throughput_bps`] values.
+    /// the corresponding [`ThroughputModel::ap_throughput_bps`] values.
     fn delta_bps(
         &self,
         ap: ApId,

@@ -6,8 +6,9 @@
 //! order**, so every reduction downstream is identical to the sequential
 //! fold — parallelism never changes an answer, only how fast it arrives.
 //! Work is claimed from an atomic counter (no pre-chunking), results flow
-//! back through a channel tagged with their index, and panics in workers
-//! propagate to the caller via scope join.
+//! back through a channel tagged with their index, and a panic in a
+//! worker resumes on the caller with the worker's own payload once every
+//! worker has been joined.
 //!
 //! Thread count comes from `std::thread::available_parallelism`, capped
 //! by the `ACORN_THREADS` env var (read per call, so tests can flip it at
@@ -71,26 +72,40 @@ where
 
     let next = AtomicUsize::new(0);
     let (tx, rx) = mpsc::channel::<(usize, U)>();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let tx = tx.clone();
-            let next = &next;
-            let f = &f;
-            scope.spawn(move || {
-                IN_PAR_WORKER.with(|w| w.set(true));
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
+    let panicked = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                let tx = tx.clone();
+                let next = &next;
+                let f = &f;
+                scope.spawn(move || {
+                    IN_PAR_WORKER.with(|w| w.set(true));
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        // The receiver outlives the scope; a send can only
+                        // fail if the main thread is already unwinding.
+                        let _ = tx.send((i, f(i)));
                     }
-                    // The receiver outlives the scope; a send can only
-                    // fail if the main thread is already unwinding.
-                    let _ = tx.send((i, f(i)));
-                }
-            });
-        }
+                })
+            })
+            .collect();
         drop(tx);
+        // Joining every handle ourselves keeps the scope from replacing a
+        // worker's panic with its generic "a scoped thread panicked".
+        let mut first = None;
+        for w in workers {
+            if let Err(payload) = w.join() {
+                first.get_or_insert(payload);
+            }
+        }
+        first
     });
+    if let Some(payload) = panicked {
+        std::panic::resume_unwind(payload);
+    }
 
     let mut slots: Vec<Option<U>> = (0..n).map(|_| None).collect();
     for (i, v) in rx {

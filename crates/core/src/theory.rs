@@ -60,7 +60,7 @@ pub fn approximation_ratio(achieved_bps: f64, y_star_bps: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::allocation::{allocate_from_random, AllocationConfig};
+    use crate::allocation::{allocate_with_restarts, AllocationConfig};
     use crate::model::{ClientSnr, NetworkModel, ThroughputModel};
     use acorn_topology::{ChannelPlan, InterferenceGraph};
 
@@ -109,7 +109,7 @@ mod tests {
         let m = model(&[&[28.0], &[10.0], &[4.0]], InterferenceGraph::complete(3));
         for n_channels in [2u8, 4, 6] {
             let plan = ChannelPlan::restricted(n_channels);
-            let r = allocate_from_random(&m, &plan, &AllocationConfig::default(), 5);
+            let r = allocate_with_restarts(&m, &plan, &AllocationConfig::default(), 0, 5);
             let bound = worst_case_bound_bps(&m);
             assert!(
                 r.total_bps + 1e-9 >= bound,
@@ -131,7 +131,7 @@ mod tests {
             epsilon: 1.0,
             max_rounds: 64,
         };
-        let r = allocate_from_random(&m, &plan, &cfg, 5);
+        let r = allocate_with_restarts(&m, &plan, &cfg, 0, 5);
         let ratio = approximation_ratio(r.total_bps, y_star_bps(&m));
         assert!(ratio > 0.999, "ratio {ratio}");
     }
@@ -143,7 +143,7 @@ mod tests {
         // APs" (loose: Y* is an upper bound, and mixed widths shift it).
         let m = model(&[&[28.0], &[26.0], &[27.0]], InterferenceGraph::complete(3));
         let plan = ChannelPlan::restricted(2);
-        let r = allocate_from_random(&m, &plan, &AllocationConfig::default(), 5);
+        let r = allocate_with_restarts(&m, &plan, &AllocationConfig::default(), 0, 5);
         let ratio = approximation_ratio(r.total_bps, y_star_bps(&m));
         assert!(ratio >= 1.0 / 3.0 - 1e-9, "ratio {ratio}");
         assert!(

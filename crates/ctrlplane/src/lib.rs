@@ -23,7 +23,7 @@
 //! The centralized allocator already shards Algorithm 2 by connected
 //! component with a per-shard restart schedule. Each zone controller
 //! replays exactly its shard's schedule
-//! ([`AcornController::reallocate_zone_obs`]) against a bit-exact
+//! ([`AcornController::reallocate_zone`]) against a bit-exact
 //! restricted submodel, so a **benign** distributed run converges to
 //! the centralized allocation bit-for-bit — not approximately. Faults
 //! (loss, corruption, delay, duplication, controller crashes) are
@@ -36,7 +36,7 @@
 //! `mix_seed` streams, so every run is a pure function of its
 //! [`PlaneConfig`] at any thread count.
 //!
-//! [`AcornController::reallocate_zone_obs`]: acorn_core::AcornController::reallocate_zone_obs
+//! [`AcornController::reallocate_zone`]: acorn_core::AcornController::reallocate_zone
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -9,13 +9,13 @@
 //! association, never on channel assignments), and runs one
 //! [`ZoneController`] process per zone on the deterministic event
 //! runtime. Because each zone replays exactly the per-shard attempt
-//! schedule of [`AcornController::reallocate_sharded_with_restarts`],
+//! schedule of [`AcornController::reallocate`],
 //! the benign distributed run converges to the centralized allocation
 //! *bit-identically* — [`DistributedPlane::centralized_twin`] is the
 //! oracle the golden-twin tests compare against.
 //!
 //! [`AcornController::zones`]: acorn_core::AcornController::zones
-//! [`AcornController::reallocate_sharded_with_restarts`]: acorn_core::AcornController::reallocate_sharded_with_restarts
+//! [`AcornController::reallocate`]: acorn_core::AcornController::reallocate
 //! [`NetworkModel::restrict`]: acorn_core::NetworkModel::restrict
 //! [`ZoneController`]: crate::zone::ZoneController
 
@@ -24,7 +24,7 @@ use acorn_core::{AcornController, NetworkModel, NetworkState};
 use acorn_events::{
     EventLog, FaultPlan, GauntletCounters, ProcessId, RunStats, Simulation, Telemetry,
 };
-use acorn_obs::names;
+use acorn_obs::{names, NullSink};
 use acorn_topology::{ClientId, Wlan};
 use serde::Serialize;
 use std::collections::BTreeMap;
@@ -380,7 +380,7 @@ impl DistributedPlane {
 
     /// The centralized golden twin: the allocation a single controller
     /// computes by running the same association and
-    /// `reallocate_sharded_with_restarts` schedule over the full
+    /// `AcornController::reallocate` schedule over the full
     /// deployment. A benign distributed run must match it bit-for-bit.
     pub fn centralized_twin(&self) -> NetworkState {
         let w = &self.sim.world;
@@ -429,21 +429,21 @@ impl DistributedPlane {
 
 /// The centralized allocation trajectory for a deployment under a plane
 /// config: Algorithm 1 association in client order, then one
-/// [`reallocate_sharded_with_restarts`] per scheduled epoch with seed
-/// `cfg.seed + e`.
+/// [`reallocate`] per scheduled epoch with seed `cfg.seed + e`.
 ///
-/// [`reallocate_sharded_with_restarts`]: acorn_core::AcornController::reallocate_sharded_with_restarts
+/// [`reallocate`]: acorn_core::AcornController::reallocate
 pub fn centralized_twin(wlan: &Wlan, ctl: &AcornController, cfg: &PlaneConfig) -> NetworkState {
     let mut state = ctl.new_state(wlan, cfg.seed);
     for c in 0..wlan.clients.len() {
         ctl.associate(wlan, &mut state, ClientId(c));
     }
     for e in 1..=cfg.n_epochs() {
-        ctl.reallocate_sharded_with_restarts(
+        ctl.reallocate(
             wlan,
             &mut state,
             cfg.restarts,
             cfg.seed.wrapping_add(e),
+            &NullSink,
         );
     }
     state

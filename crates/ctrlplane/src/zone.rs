@@ -7,7 +7,7 @@
 //!   fires every re-allocation period. A healthy controller *catch-up
 //!   replays* every epoch it has not yet applied —
 //!   `applied_epoch+1 ..= k` — through
-//!   [`AcornController::reallocate_zone_obs`] with the per-epoch seed
+//!   [`AcornController::reallocate_zone`] with the per-epoch seed
 //!   `cfg.seed + e`. One mechanism covers the normal single-step advance,
 //!   crash recovery, and partition healing, and it is what makes the
 //!   benign trajectory bit-identical to the centralized golden twin.
@@ -24,7 +24,7 @@
 //!   plan, forces border APs down to 20 MHz, and stops advancing its
 //!   applied epoch until quorum returns.
 //!
-//! [`AcornController::reallocate_zone_obs`]: acorn_core::AcornController::reallocate_zone_obs
+//! [`AcornController::reallocate_zone`]: acorn_core::AcornController::reallocate_zone
 //! [`EventQueue`]: acorn_events::EventQueue
 
 use crate::msg::{
@@ -226,7 +226,7 @@ impl ZoneController {
             let sink = RecordingSink::new();
             {
                 let w = &mut *ctx.world;
-                w.ctl.reallocate_zone_obs(
+                w.ctl.reallocate_zone(
                     &w.zone_models[zone],
                     &mut w.state,
                     &nodes,

@@ -10,7 +10,7 @@
 //! * [`ReallocationTimer`] — the every-`T` Algorithm 2 re-run ("we run
 //!   our channel allocation algorithm every 30 minutes", §4.2). Restart
 //!   fan-out rides the evaluation engine's thread pool via
-//!   `reallocate_with_restarts`, and per-epoch seeds come from a
+//!   `AcornController::reallocate`, and per-epoch seeds come from a
 //!   [`SeedPolicy`], so results are bit-identical at any `ACORN_THREADS`.
 //! * [`MobilityProcess`] — a client walking a [`Trajectory`] with
 //!   periodic SNR re-sampling and opportunistic width adaptation (§5.2).
@@ -330,13 +330,9 @@ impl Process<AcornWorld, AcornEvent> for ReallocationTimer {
             // so the totals are thread-invariant) and drain into the
             // run-wide recorder here, sequentially.
             let sink = RecordingSink::new();
-            let r = w.ctl.reallocate_with_restarts_obs(
-                &w.wlan,
-                &mut w.state,
-                self.restarts,
-                seed,
-                &sink,
-            );
+            let r = w
+                .ctl
+                .reallocate(&w.wlan, &mut w.state, self.restarts, seed, &sink);
             sink.drain_into(ctx.telemetry);
             if self.adapt_widths {
                 w.ctl.adapt_widths(&w.wlan, &mut w.state);

@@ -15,7 +15,7 @@
 //!   reference-counted entries updated on arrival/departure — and only
 //!   materialized (O(V+E)) when a re-allocation epoch needs a model;
 //! * re-allocation runs through the sharded Algorithm 2 fan-out
-//!   ([`allocate_sharded_with_restarts_obs`]) over the graph's connected
+//!   ([`allocate_sharded`]) over the graph's connected
 //!   components, with SNR→goodput queries served by the controller's
 //!   memoized [`GoodputTable`](acorn_phy::GoodputTable) when one is
 //!   attached.
@@ -45,7 +45,7 @@ use crate::faults::{FaultPlan, ResilienceReport};
 use crate::sim::{Ctx, Process, Simulation};
 use crate::telemetry::{Histogram, TelemetrySnapshot};
 use acorn_core::{
-    allocate_sharded_with_restarts_obs, choose_ap_obs, AcornController, Candidate, ClientSnr,
+    allocate_sharded, choose_ap_obs, AcornController, AllocSpec, Candidate, ClientSnr,
     NetworkModel, NetworkState, ThroughputModel,
 };
 use acorn_obs::RecordingSink;
@@ -538,13 +538,16 @@ impl Process<CityWorld, AcornEvent> for CityReallocationTimer {
             (model.total_bps(&w.state.assignments), 0)
         } else {
             let sink = RecordingSink::new();
-            let r = allocate_sharded_with_restarts_obs(
+            let spec = AllocSpec {
+                start: Some(w.state.assignments.clone()),
+                restarts: self.restarts,
+                seed,
+            };
+            let r = allocate_sharded(
                 &model,
                 &w.ctl.config.plan,
-                w.state.assignments.clone(),
                 &w.ctl.config.allocation,
-                self.restarts,
-                seed,
+                &spec,
                 &sink,
             );
             w.state.assignments = r.assignments.clone();
@@ -555,8 +558,8 @@ impl Process<CityWorld, AcornEvent> for CityReallocationTimer {
                 }
             }
             // Flush the epoch's model-evaluation and goodput-table counters
-            // alongside the alloc.* metrics (the controller's obs entry
-            // points do the same through `finish_epoch_obs`).
+            // alongside the alloc.* metrics (the controller's `reallocate`
+            // does the same after its fan-out).
             model.flush_stats_into(&sink);
             sink.drain_into(ctx.telemetry);
             if self.safe_mode {

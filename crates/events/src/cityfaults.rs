@@ -11,7 +11,8 @@
 //! O(network).
 //!
 //! The process reports under the same `faults.*` telemetry namespace as
-//! the composite fault layer, so [`ResilienceReport`] aggregates both
+//! the composite fault layer, so
+//! [`ResilienceReport`](crate::faults::ResilienceReport) aggregates both
 //! scenario classes identically. Differences from the composite layer
 //! (documented, not accidental):
 //!

@@ -1,7 +1,7 @@
 //! Deterministic fault injection for ACORN scenarios.
 //!
 //! The robustness layer: a [`FaultProcess`] drives a periodic *control
-//! round* over an [`AcornWorld`](crate::acorn::AcornWorld) that exercises
+//! round* over an [`AcornWorld`] that exercises
 //! the real control-plane machinery — beacons and IAPP announcements go
 //! through the actual `wire` encode → (corrupt) → parse path, SNR
 //! measurements feed real [`ClientTracker`]s, channel switches ride the

@@ -23,7 +23,7 @@ pub const ALLOC_ROUNDS: &str = "alloc.rounds";
 pub const ALLOC_ITERATIONS: &str = "alloc.iterations";
 /// Switches actually applied (a round found an improving move).
 pub const ALLOC_SWITCHES: &str = "alloc.switches";
-/// Random-restart allocations fanned out by `allocate_with_restarts`.
+/// Random-start attempts of Algorithm 2's restart hedge.
 pub const ALLOC_RESTARTS: &str = "alloc.restarts";
 /// Connected-component shards the sharded allocation path fanned out
 /// over (summed per run; 1 when the conflict graph is connected).

@@ -34,7 +34,7 @@ use std::time::Instant;
 /// A destination for metrics emitted by instrumented code.
 ///
 /// All methods take `&self` so one sink can be shared across the
-/// parallel fan-outs in `allocate_with_restarts`; implementations that
+/// parallel fan-outs of `acorn_core::allocate`; implementations that
 /// actually record therefore need interior mutability (see
 /// [`RecordingSink`]).
 pub trait Sink {

@@ -141,8 +141,8 @@ impl LinkQualityEstimator {
     }
 
     /// The (coded BER, PER) prediction for one MCS at a mode-effective
-    /// SNR — the single primitive both [`best_rate_point`]
-    /// (LinkQualityEstimator::best_rate_point) and the memoized
+    /// SNR — the single primitive both
+    /// [`best_rate_point`](LinkQualityEstimator::best_rate_point) and the memoized
     /// `GoodputTable` build call, so the exact and tabulated paths always
     /// share the same error model (crisp AWGN or fading-averaged).
     ///

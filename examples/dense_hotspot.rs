@@ -11,6 +11,7 @@
 
 use acorn::baselines::{allocate_aggressive_cb, fixed_width};
 use acorn::core::{AcornConfig, AcornController};
+use acorn::obs::NullSink;
 use acorn::phy::ChannelWidth;
 use acorn::sim::runner::evaluate_analytic;
 use acorn::sim::Traffic;
@@ -31,7 +32,7 @@ fn main() {
     }
 
     // ACORN (run first: `score` borrows the settled association below).
-    ctl.reallocate_with_restarts(&wlan, &mut state, 8, 3);
+    ctl.reallocate(&wlan, &mut state, 8, 3, &NullSink);
 
     let score = |assignments: &[acorn::topology::ChannelAssignment]| {
         evaluate_analytic(

@@ -20,7 +20,7 @@ use acorn::core::csa::{switch_plans, ApCsa, CsaAction};
 use acorn::core::iapp::{IappAgent, IappBus};
 use acorn::core::wire::{parse_beacon, serialize_beacon};
 use acorn::core::{
-    allocate, AcornConfig, AcornController, AllocationConfig, ClientSnr, NetworkModel,
+    allocate, AcornConfig, AcornController, AllocSpec, AllocationConfig, ClientSnr, NetworkModel,
 };
 use acorn::phy::ChannelWidth;
 use acorn::topology::{ApId, ClientId, InterferenceGraph};
@@ -87,11 +87,16 @@ fn main() {
         })
         .collect();
     let model = NetworkModel::new(learned, cells);
+    let spec = AllocSpec {
+        start: Some(state.assignments.clone()),
+        ..AllocSpec::default()
+    };
     let result = allocate(
         &model,
         &ctl.config.plan,
-        state.assignments.clone(),
         &AllocationConfig::default(),
+        &spec,
+        &acorn::obs::NullSink,
     );
     println!(
         "allocation on the learned graph: {:.1} Mb/s after {} switches",

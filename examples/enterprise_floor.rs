@@ -11,6 +11,7 @@
 //! ```
 
 use acorn::core::{AcornConfig, AcornController};
+use acorn::obs::NullSink;
 use acorn::topology::ClientId;
 use acorn::traces::{SessionGenerator, REALLOCATION_PERIOD_S};
 use rand::rngs::StdRng;
@@ -62,7 +63,7 @@ fn main() {
             Event::Reallocate => {
                 let active = state.assoc.iter().filter(|a| a.is_some()).count();
                 let before = ctl.total_throughput_bps(&wlan, &state);
-                let r = ctl.reallocate_with_restarts(&wlan, &mut state, 4, seed);
+                let r = ctl.reallocate(&wlan, &mut state, 4, seed, &NullSink);
                 seed += 1;
                 println!(
                     "t={:>5.0} min: {active:>2} active clients, Y {:>6.1} -> {:>6.1} Mb/s ({} switches)",

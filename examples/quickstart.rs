@@ -45,7 +45,7 @@ fn main() {
     // over the conflict graph's connected components — the snapshot below
     // reports the shard count (`alloc.shards`) and the table's hit/miss
     // counters (`phy.table.*`) alongside the association metrics.
-    let result = ctl.reallocate_sharded_with_restarts_obs(&wlan, &mut state, 8, 7, &sink);
+    let result = ctl.reallocate(&wlan, &mut state, 8, 7, &sink);
     println!();
     println!(
         "allocation converged after {} iterations, {} switches",

@@ -5,18 +5,24 @@
 #      crate's non-test code must not grow past the audited baselines
 #      (one for library crates, one for the bench/figure binaries —
 #      fallible library paths return typed errors instead),
-#   3. warnings-clean check build of the whole workspace,
+#   3. warnings-clean check build of the whole workspace, and a
+#      warnings-clean rustdoc build (no dangling intra-doc links),
 #   4. release build,
 #   5. the root test suite (tier-1: reproduction guards, properties,
 #      determinism, resilience, event-runtime goldens),
-#   5a. the exact-estimator oracle gate: every shortcut on the exact
+#   5a. the allocation oracle gate: every Algorithm 2 entry point (the
+#      controller's sharded reallocation, the zone replay, the free
+#      allocate / allocate_sharded) against fingerprints of the former
+#      per-entry-point implementations, the sharded path against its
+#      per-component composition, and the acorn-core unit tests,
+#   5b. the exact-estimator oracle gate: every shortcut on the exact
 #      §4.2 path (tabulated union bound, fused error rates, per-SNR
 #      estimate memo, one-model throughput total) is bit-identical to
 #      the computation it replaced,
-#   5b. the distributed golden-twin gate: the zone-controller plane's
+#   5c. the distributed golden-twin gate: the zone-controller plane's
 #      benign-path allocation must equal the centralized controller's
 #      exactly, and partitions must degrade per-zone only,
-#   5c. the chaos-soak smoke gate: short-horizon soak with internal
+#   5d. the chaos-soak smoke gate: short-horizon soak with internal
 #      ACORN_THREADS = 1/2/8 sweep (bit-identical logs + sketch
 #      fingerprints), sabotage negative test, bounded-telemetry growth,
 #      plane chaos heal, and the sketch property suite,
@@ -81,6 +87,7 @@ fi
 echo
 echo "== warnings-clean check =="
 RUSTFLAGS="-D warnings" cargo check --offline --workspace --all-targets
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
 echo
 echo "== release build =="
@@ -89,6 +96,16 @@ cargo build --release --offline
 echo
 echo "== tests =="
 cargo test -q --offline
+
+echo
+echo "== allocation oracle gate =="
+# One hedged Algorithm 2 driver serves every entry point; its outputs
+# (assignments, total_bps bits, iterations, switches, history) must match
+# fingerprints captured from the per-entry-point copies it replaced, and
+# the sharded path must equal per-component allocate runs with the shard
+# seed schedule on random connected and disconnected graphs.
+cargo test -q --offline --release --test allocation_oracle
+cargo test -q --offline --release -p acorn-core --lib
 
 echo
 echo "== observability overhead gate (NullSink) =="

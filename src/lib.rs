@@ -31,7 +31,8 @@
 //! for c in 0..wlan.clients.len() {
 //!     ctl.associate(&wlan, &mut state, ClientId(c));
 //! }
-//! let result = ctl.reallocate(&wlan, &mut state);
+//! // Algorithm 2, hedged by 4 random restarts per conflict-graph component.
+//! let result = ctl.reallocate(&wlan, &mut state, 4, 42, &acorn::obs::NullSink);
 //! assert!(result.total_bps > 0.0);
 //! ```
 

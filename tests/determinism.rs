@@ -8,8 +8,7 @@
 //! sequentially, so the tests serialize on a shared lock.
 
 use acorn_core::allocation::{
-    allocate_sharded_with_restarts_obs, allocate_with_restarts, allocate_with_restarts_obs,
-    random_initial, AllocationConfig,
+    allocate, allocate_sharded, allocate_with_restarts, random_initial, AllocSpec, AllocationConfig,
 };
 use acorn_core::model::{ClientSnr, NetworkModel, ThroughputModel};
 use acorn_core::{AcornConfig, AcornController, NetworkState};
@@ -19,7 +18,7 @@ use acorn_events::{
     CityReport, CityScenario, CompositeReport, CompositeScenario, DcbReport, DriftSpec, FaultPlan,
     MobilitySpec, OverlappingBssGrid,
 };
-use acorn_obs::RecordingSink;
+use acorn_obs::{NullSink, RecordingSink};
 use acorn_phy::{GoodputTable, LinkQualityEstimator};
 use acorn_sim::churn::{run_churn, ChurnConfig, ChurnReport};
 use acorn_sim::scenario::{city_grid, enterprise_grid, zoned_city};
@@ -67,7 +66,7 @@ fn run_controller_alloc(wlan: &Wlan, ctl: &AcornController, seed: u64) -> (Netwo
     for c in 0..wlan.clients.len() {
         ctl.associate(wlan, &mut state, ClientId(c));
     }
-    let r = ctl.reallocate_with_restarts(wlan, &mut state, 8, seed.wrapping_add(10));
+    let r = ctl.reallocate(wlan, &mut state, 8, seed.wrapping_add(10), &NullSink);
     (state, r.total_bps.to_bits())
 }
 
@@ -244,15 +243,12 @@ fn sharded_and_city_runs_are_identical_across_thread_counts() {
         for threads in thread_counts {
             std::env::set_var("ACORN_THREADS", threads);
             let sink = RecordingSink::new();
-            let r = allocate_sharded_with_restarts_obs(
-                &model,
-                &plan,
-                initial.clone(),
-                &alloc_cfg,
-                6,
-                800 + topo as u64,
-                &sink,
-            );
+            let spec = AllocSpec {
+                start: Some(initial.clone()),
+                restarts: 6,
+                seed: 800 + topo as u64,
+            };
+            let r = allocate_sharded(&model, &plan, &alloc_cfg, &spec, &sink);
             runs.push((r.assignments, r.total_bps.to_bits()));
             snaps.push(sink.snapshot().to_json());
         }
@@ -374,8 +370,12 @@ fn results_are_identical_across_thread_counts() {
             // The instrumented path must (a) agree with the plain path and
             // (b) record the same snapshot bytes at every thread count.
             let sink = RecordingSink::new();
-            let r_obs =
-                allocate_with_restarts_obs(&model, &plan, &alloc_cfg, 8, 500 + topo as u64, &sink);
+            let spec = AllocSpec {
+                start: None,
+                restarts: 8,
+                seed: 500 + topo as u64,
+            };
+            let r_obs = allocate(&model, &plan, &alloc_cfg, &spec, &sink);
             assert_eq!(
                 r_obs.total_bps.to_bits(),
                 direct_runs.last().unwrap().1,

@@ -5,6 +5,7 @@
 
 use acorn::baselines::{allocate_aggressive_cb, associate_rssi, fixed_width, random_config};
 use acorn::core::{AcornConfig, AcornController};
+use acorn::obs::NullSink;
 use acorn::phy::ChannelWidth;
 use acorn::sim::runner::evaluate_analytic;
 use acorn::sim::{enterprise_grid, fig11, topology1, topology2, Traffic};
@@ -23,12 +24,12 @@ fn acorn_configure(
     for c in 0..wlan.clients.len() {
         ctl.associate(wlan, &mut state, ClientId(c));
     }
-    ctl.reallocate_with_restarts(wlan, &mut state, 8, seed + 1);
+    ctl.reallocate(wlan, &mut state, 8, seed + 1, &NullSink);
     for c in 0..wlan.clients.len() {
         ctl.deassociate(&mut state, ClientId(c));
         ctl.associate(wlan, &mut state, ClientId(c));
     }
-    ctl.reallocate_with_restarts(wlan, &mut state, 8, seed + 2);
+    ctl.reallocate(wlan, &mut state, 8, seed + 2, &NullSink);
     (ctl, state)
 }
 
@@ -197,7 +198,7 @@ fn reallocation_is_stable_once_converged() {
     let wlan = topology2();
     let (ctl, mut state) = acorn_configure(&wlan, ChannelPlan::full_5ghz(), 17);
     let before = state.assignments.clone();
-    let r = ctl.reallocate(&wlan, &mut state);
+    let r = ctl.reallocate(&wlan, &mut state, 0, 0, &NullSink);
     assert_eq!(state.assignments, before, "allocation not stable");
     assert_eq!(r.switches, 0);
 }
@@ -225,7 +226,7 @@ fn mobility_adaptation_composes_with_allocation() {
     let ctl = AcornController::new(AcornConfig::default());
     let mut state = ctl.new_state(&wlan, 1);
     ctl.associate(&wlan, &mut state, ClientId(0));
-    ctl.reallocate_with_restarts(&wlan, &mut state, 4, 2);
+    ctl.reallocate(&wlan, &mut state, 4, 2, &NullSink);
     // One good client → the AP bonds.
     assert_eq!(state.assignments[0].width(), ChannelWidth::Ht40);
     ctl.adapt_widths(&wlan, &mut state);

@@ -11,6 +11,7 @@
 //! file next to the goodput-table accuracy gate.
 
 use acorn::core::{AcornConfig, AcornController, NetworkModel};
+use acorn::obs::NullSink;
 use acorn::phy::{
     coded_ber, faded_coded_ber, faded_per, ChannelWidth, CodeRate, EstimateMemo,
     LinkQualityEstimator, McsIndex,
@@ -159,7 +160,7 @@ fn floor(seed: u64) -> (Wlan, AcornController, acorn::core::NetworkState) {
     for c in 0..wlan.clients.len() {
         ctl.associate(&wlan, &mut state, ClientId(c));
     }
-    ctl.reallocate(&wlan, &mut state);
+    ctl.reallocate(&wlan, &mut state, 0, 0, &NullSink);
     (wlan, ctl, state)
 }
 

@@ -6,6 +6,7 @@ use acorn::core::iapp::{IappAgent, IappBus};
 use acorn::core::scanning::{HashSounding, ScanningModel};
 use acorn::core::{AcornConfig, AcornController, ThroughputModel};
 use acorn::mac::{bianchi_solve, saturation_throughput_bps};
+use acorn::obs::NullSink;
 use acorn::phy::ChannelWidth;
 use acorn::sim::{enterprise_grid, run_churn, ChurnConfig};
 use acorn::topology::{ApId, ChannelPlan, ClientId};
@@ -24,7 +25,7 @@ fn iapp_reproduces_the_controller_access_shares() {
     for c in 0..wlan.clients.len() {
         ctl.associate(&wlan, &mut state, ClientId(c));
     }
-    ctl.reallocate_with_restarts(&wlan, &mut state, 4, 5);
+    ctl.reallocate(&wlan, &mut state, 4, 5, &NullSink);
 
     let mut agents: Vec<IappAgent> = (0..wlan.aps.len())
         .map(|i| IappAgent::new(ApId(i)))
@@ -173,7 +174,7 @@ fn fading_aware_estimator_composes_with_allocation() {
         for c in 0..wlan.clients.len() {
             ctl.associate(&wlan, &mut state, ClientId(c));
         }
-        let r = ctl.reallocate_with_restarts(&wlan, &mut state, 4, 3);
+        let r = ctl.reallocate(&wlan, &mut state, 4, 3, &NullSink);
         assert!(r.total_bps > 0.0);
         assert!(state
             .assignments

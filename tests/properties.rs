@@ -2,7 +2,7 @@
 
 use acorn::baseband::convcode::Codec;
 use acorn::baseband::modem::{demodulate, modulate};
-use acorn::core::allocation::{allocate, random_initial, AllocationConfig};
+use acorn::core::allocation::{allocate, random_initial, AllocSpec, AllocationConfig};
 use acorn::core::model::{ClientSnr, NetworkModel, ThroughputModel};
 use acorn::phy::coding::{coded_ber, per_from_ber};
 use acorn::phy::estimator::LinkQualityEstimator;
@@ -148,7 +148,11 @@ proptest! {
         let plan = ChannelPlan::restricted(n_channels);
         let initial = random_initial(&plan, n_aps, seed);
         let y0 = model.total_bps(&initial);
-        let r = allocate(&model, &plan, initial, &AllocationConfig::default());
+        let spec = AllocSpec {
+            start: Some(initial),
+            ..AllocSpec::default()
+        };
+        let r = allocate(&model, &plan, &AllocationConfig::default(), &spec, &acorn::obs::NullSink);
         prop_assert!(r.total_bps + 1e-6 >= y0);
         // And the outcome is legal.
         prop_assert!(r.assignments.iter().all(|a| plan.contains(*a)));

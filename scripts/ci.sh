@@ -15,6 +15,9 @@
 #      allocate / allocate_sharded) against fingerprints of the former
 #      per-entry-point implementations, the sharded path against its
 #      per-component composition, and the acorn-core unit tests,
+#   5a'. the event-world oracle gate: composite, city and soak runs
+#      (with and without faults, and through run_resilience) against
+#      fingerprints of the per-world process copies,
 #   5b. the exact-estimator oracle gate: every shortcut on the exact
 #      §4.2 path (tabulated union bound, fused error rates, per-SNR
 #      estimate memo, one-model throughput total) is bit-identical to
@@ -106,6 +109,17 @@ echo "== allocation oracle gate =="
 # seed schedule on random connected and disconnected graphs.
 cargo test -q --offline --release --test allocation_oracle
 cargo test -q --offline --release -p acorn-core --lib
+
+echo
+echo "== event-world oracle gate =="
+# One session / re-allocation / drift process library serves both event
+# worlds (the exact AcornWorld and the incremental CityWorld), with one
+# crash/restart clock for both fault layers. Composite, city and soak
+# runs -- with and without faults, and through the golden-twin
+# resilience runner -- must match fingerprints (telemetry JSON bytes,
+# re-allocation records, final state, event log) captured from the
+# per-world process copies the library replaced.
+cargo test -q --offline --release --test world_oracle
 
 echo
 echo "== observability overhead gate (NullSink) =="

@@ -7,10 +7,8 @@
 //!   1 thread and at full parallelism.
 //! * `BENCH_baseband.json` — the baseband Monte-Carlo engine on the
 //!   Fig. 3 configs (1500-byte QPSK frames, 20 MHz, coded and uncoded):
-//!   the seed's allocating sequential pipeline
-//!   (`acorn_bench::baseline_frame`) vs the workspace engine, plus the
-//!   1/2/8-thread bit-identity check and the measured steady-state
-//!   allocations per packet.
+//!   single-thread packets/sec, the 1/2/8-thread bit-identity check and
+//!   the measured steady-state allocations per packet.
 
 use acorn_baseband::frame::{
     mix_seed, run_trial_with, try_run_trial, Equalization, FrameConfig, FrameWorkspace, SyncMode,
@@ -18,7 +16,6 @@ use acorn_baseband::frame::{
 use acorn_baseband::ChannelModel;
 use acorn_baseband::PACKET_CHUNK;
 use acorn_bench::alloc_counter::allocations_during;
-use acorn_bench::baseline_frame::run_trial_baseline;
 use acorn_bench::header;
 use acorn_core::allocation::{
     allocate_sharded_with_restarts, allocate_with_restarts, random_initial, AllocationConfig,
@@ -157,15 +154,11 @@ fn time_best<R>(mut f: impl FnMut() -> R) -> (f64, R) {
 struct BasebandConfigBench {
     label: String,
     packets: usize,
-    /// Seed pipeline (sequential, allocating): packets/sec.
-    baseline_pkt_per_s: f64,
     /// Workspace engine at ACORN_THREADS=1: packets/sec.
     engine_pkt_per_s: f64,
-    speedup: f64,
     /// Heap allocation events per packet in the engine's steady state
     /// (workspace warm, single-threaded — exact count, not an estimate).
     engine_allocs_per_packet: f64,
-    baseline_allocs_per_packet: f64,
     /// try_run_trial reports are bit-identical at 1, 2 and 8 threads.
     parallel_bit_identical: bool,
     /// Per-worker packet batch handed to `run_packets` (PACKET_CHUNK).
@@ -217,14 +210,8 @@ fn bench_baseband_config(label: &str, cfg: &FrameConfig, packets: usize) -> Base
                 .expect("valid config");
         }
     });
-    let (baseline_allocs, _) = allocations_during(|| run_trial_baseline(cfg, 2, seed));
-
-    let (t_base, r_base) = time_best(|| run_trial_baseline(cfg, packets, seed));
-    let (t_engine, r_engine) =
+    let (t_engine, _) =
         time_best(|| run_trial_with(cfg, packets, seed, &mut ws).expect("valid config"));
-    // Same physics on both paths: the BERs must land in the same regime
-    // (different RNG schemes, so not bit-equal).
-    assert_eq!(r_base.bits, r_engine.bits);
 
     // Determinism across thread counts, on the exact snapshot config.
     let mut reports = Vec::new();
@@ -239,11 +226,8 @@ fn bench_baseband_config(label: &str, cfg: &FrameConfig, packets: usize) -> Base
     BasebandConfigBench {
         label: label.to_string(),
         packets,
-        baseline_pkt_per_s: packets as f64 / t_base,
         engine_pkt_per_s: packets as f64 / t_engine,
-        speedup: t_base / t_engine,
         engine_allocs_per_packet: engine_allocs as f64 / packets as f64,
-        baseline_allocs_per_packet: baseline_allocs as f64 / 2.0,
         parallel_bit_identical: identical,
         batch_packets: PACKET_CHUNK,
         target_cpu: effective_target_cpu(),
@@ -267,7 +251,7 @@ fn effective_target_cpu() -> String {
 }
 
 fn bench_baseband() -> BenchBaseband {
-    header("Baseband-engine snapshot: Fig. 3 QPSK frames, seed pipeline vs workspace engine");
+    header("Baseband-engine snapshot: Fig. 3 QPSK frames on the workspace engine");
     let configs = vec![
         bench_baseband_config(
             "qpsk-r12-20mhz-1500B",
@@ -278,15 +262,8 @@ fn bench_baseband() -> BenchBaseband {
     ];
     for c in &configs {
         println!(
-            "{}: baseline {:.0} pkt/s -> engine {:.0} pkt/s ({:.2}x), \
-             {:.2} allocs/pkt steady state (baseline {:.0}), parallel identical: {}",
-            c.label,
-            c.baseline_pkt_per_s,
-            c.engine_pkt_per_s,
-            c.speedup,
-            c.engine_allocs_per_packet,
-            c.baseline_allocs_per_packet,
-            c.parallel_bit_identical,
+            "{}: engine {:.0} pkt/s, {:.2} allocs/pkt steady state, parallel identical: {}",
+            c.label, c.engine_pkt_per_s, c.engine_allocs_per_packet, c.parallel_bit_identical,
         );
     }
     BenchBaseband {

@@ -1,6 +1,6 @@
 //! The standard ACORN process library: session churn, periodic
 //! re-allocation, pedestrian mobility, and slow shadowing drift as
-//! composable [`Process`]es over a shared [`AcornWorld`].
+//! composable [`Process`]es over any [`World`].
 //!
 //! Each process owns one real-world mechanism from the paper's operating
 //! regime:
@@ -9,23 +9,42 @@
 //!   (§3's CRAWDAD analysis), driving Algorithm 1 association.
 //! * [`ReallocationTimer`] — the every-`T` Algorithm 2 re-run ("we run
 //!   our channel allocation algorithm every 30 minutes", §4.2). Restart
-//!   fan-out rides the evaluation engine's thread pool via
-//!   `AcornController::reallocate`, and per-epoch seeds come from a
-//!   [`SeedPolicy`], so results are bit-identical at any `ACORN_THREADS`.
+//!   fan-out rides the evaluation engine's thread pool, and per-epoch
+//!   seeds come from a [`SeedPolicy`], so results are bit-identical at
+//!   any `ACORN_THREADS`.
 //! * [`MobilityProcess`] — a client walking a [`Trajectory`] with
 //!   periodic SNR re-sampling and opportunistic width adaptation (§5.2).
+//!   Exact world only: the incremental world fixes client positions.
 //! * [`DriftProcess`] — slow environmental shadowing drift (the
 //!   [`drift_phase`](acorn_topology::pathloss::LogDistance::drift_phase)
 //!   rotation), a scenario class the fixed-trace simulations could not
 //!   express: link gains decorrelate over hours while every draw stays a
 //!   pure function of the seed.
 //!
-//! [`CompositeScenario`] wires any subset of them into one
-//! [`Simulation`] and returns the telemetry snapshot plus the executed
-//! event log — the object the thread-count determinism tests compare.
+//! ## One library, two worlds
+//!
+//! The session, re-allocation and drift processes are written once,
+//! generic over the [`World`] trait (static dispatch), and serve both
+//! the exact [`AcornWorld`] — which recomputes the interference graph
+//! and model from scratch — and the incremental
+//! [`CityWorld`](crate::CityWorld). The trait carries only what the two
+//! answer differently: how an arrival is associated (all APs vs. the
+//! spatial candidate radius), how widths adapt after a cell change
+//! (network-wide vs. the changed cell), what an epoch's objective is
+//! evaluated on (the per-AP live total vs. one model built per epoch),
+//! how Algorithm 2 re-optimizes (the controller's `reallocate` vs. the
+//! sharded allocator on the incremental model), and what a drift step
+//! must refresh (nothing vs. the cached SNRs) — plus the shared AP
+//! bookkeeping (`ap_up`, `last_good`, `realloc_log`). Telemetry names
+//! and write order are the process's, so both worlds report identically.
+//!
+//! [`CompositeScenario`] wires any subset of the processes into one
+//! [`Simulation`] over an [`AcornWorld`] and returns the telemetry
+//! snapshot plus the executed event log — the object the thread-count
+//! determinism tests compare.
 
-use crate::faults::{FaultPlan, FaultProcess, ResilienceReport};
-use crate::sim::{mix_seed, Ctx, Process, Simulation};
+use crate::faults::{resilience_twin, FaultPlan, FaultProcess, ResilienceReport};
+use crate::sim::{mix_seed, Ctx, Process, RunStats, Simulation};
 use crate::telemetry::{Histogram, TelemetrySnapshot};
 use acorn_core::{choose_ap_obs, AcornController, NetworkState};
 use acorn_obs::RecordingSink;
@@ -33,7 +52,89 @@ use acorn_phy::ChannelWidth;
 use acorn_topology::{ApId, ChannelAssignment, ClientId, Trajectory, Wlan};
 use acorn_traces::Session;
 
-/// The shared world every ACORN process operates on.
+/// A deployed plan: per-AP assignments and operating widths.
+pub type Plan = (Vec<ChannelAssignment>, Vec<ChannelWidth>);
+
+/// The state every world keeps under the same field names, borrowed
+/// field by field so a process can update several at once.
+pub struct Shared<'a> {
+    /// The deployment (drift rotates its shadowing phase).
+    pub wlan: &'a mut Wlan,
+    /// The controller's network state.
+    pub state: &'a mut NetworkState,
+    /// Liveness per AP — all `true` unless a fault process crashes one.
+    pub ap_up: &'a mut Vec<bool>,
+    /// The last plan a *healthy* re-allocation epoch deployed; safe mode
+    /// restores it instead of re-optimizing on a partial view.
+    pub last_good: &'a mut Option<Plan>,
+    /// One record per re-allocation epoch, in firing order.
+    pub realloc_log: &'a mut Vec<ReallocRecord>,
+}
+
+/// What the standard processes need of a world: the shared deployment
+/// and AP bookkeeping, and the few calls the exact and the incremental
+/// world answer differently (see the module docs).
+pub trait World {
+    /// What one re-allocation epoch evaluates its objective on — built
+    /// once when the epoch fires, before anything changes.
+    type Epoch;
+
+    /// The shared state, mutably.
+    fn shared(&mut self) -> Shared<'_>;
+    /// Liveness per AP.
+    fn ap_up(&self) -> &[bool];
+    /// Clients currently associated.
+    fn active_clients(&self) -> usize;
+
+    /// Whether every AP is up.
+    fn all_up(&self) -> bool {
+        self.ap_up().iter().all(|&u| u)
+    }
+
+    /// APs currently down.
+    fn down_count(&self) -> usize {
+        self.ap_up().iter().filter(|&&u| !u).count()
+    }
+
+    /// Algorithm 1 for arriving client `c`: associates it and returns
+    /// the chosen AP and the client's own delivery delay there, with
+    /// candidate metrics recorded into `sink`. Dead APs don't beacon, so
+    /// they are never candidates.
+    fn arrive(&mut self, c: usize, sink: &RecordingSink) -> Option<(usize, f64)>;
+
+    /// Removes client `c` from its AP; returns that AP.
+    fn depart(&mut self, c: usize) -> Option<usize>;
+
+    /// The §5.2 width adaptation after an arrival or departure changed
+    /// the cell of `ap` (`None`: the client had or got no AP).
+    fn adapt_after_cell_change(&mut self, ap: Option<usize>);
+
+    /// The state an epoch's objective is evaluated on.
+    fn epoch(&self) -> Self::Epoch;
+
+    /// The epoch objective under the current plan (bits/s).
+    fn epoch_bps(&self, epoch: &Self::Epoch) -> f64;
+
+    /// Algorithm 2 from the current plan with `restarts` hedges seeded
+    /// by `seed` (then the width adaptation, if `adapt_widths`), with its
+    /// metrics recorded into `sink`. Returns the objective after and the
+    /// channel switches made.
+    fn reoptimize(
+        &mut self,
+        epoch: Self::Epoch,
+        restarts: usize,
+        seed: u64,
+        adapt_widths: bool,
+        sink: &RecordingSink,
+    ) -> (f64, usize);
+
+    /// Refreshes whatever a shadowing-drift step invalidated.
+    fn after_drift(&mut self) {}
+}
+
+/// The shared world every exact ACORN process operates on: the
+/// interference graph, cell SNRs and throughput model are recomputed
+/// from the deployment on every query.
 pub struct AcornWorld {
     /// The deployment (mutable: mobility moves clients, drift rotates the
     /// shadowing phase).
@@ -46,10 +147,8 @@ pub struct AcornWorld {
     pub realloc_log: Vec<ReallocRecord>,
     /// Liveness per AP — all `true` unless a fault process crashes one.
     pub ap_up: Vec<bool>,
-    /// The last assignment + width vector a *healthy* re-allocation epoch
-    /// deployed; safe mode restores it instead of re-optimizing on a
-    /// partial view of the network.
-    pub last_good: Option<(Vec<ChannelAssignment>, Vec<ChannelWidth>)>,
+    /// The last plan a *healthy* re-allocation epoch deployed.
+    pub last_good: Option<Plan>,
 }
 
 impl AcornWorld {
@@ -66,20 +165,80 @@ impl AcornWorld {
             last_good: None,
         }
     }
+}
 
-    /// Clients currently associated.
-    pub fn active_clients(&self) -> usize {
+impl World for AcornWorld {
+    /// The exact world evaluates its objective afresh each time.
+    type Epoch = ();
+
+    fn shared(&mut self) -> Shared<'_> {
+        Shared {
+            wlan: &mut self.wlan,
+            state: &mut self.state,
+            ap_up: &mut self.ap_up,
+            last_good: &mut self.last_good,
+            realloc_log: &mut self.realloc_log,
+        }
+    }
+
+    fn ap_up(&self) -> &[bool] {
+        &self.ap_up
+    }
+
+    fn active_clients(&self) -> usize {
         self.state.assoc.iter().filter(|a| a.is_some()).count()
     }
 
-    /// Whether every AP is up.
-    pub fn all_up(&self) -> bool {
-        self.ap_up.iter().all(|&u| u)
+    /// Algorithm 1, unrolled from `AcornController::associate` so the
+    /// chosen candidate's own delay is available without recomputing
+    /// the candidate set.
+    fn arrive(&mut self, c: usize, sink: &RecordingSink) -> Option<(usize, f64)> {
+        let mut candidates = self
+            .ctl
+            .candidates_for(&self.wlan, &self.state, ClientId(c));
+        candidates.retain(|cand| self.ap_up[cand.ap.0]);
+        let i = choose_ap_obs(&candidates, sink)?;
+        self.state.assoc[c] = Some(candidates[i].ap);
+        Some((candidates[i].ap.0, candidates[i].delay_u_s))
     }
 
-    /// APs currently down.
-    pub fn down_count(&self) -> usize {
-        self.ap_up.iter().filter(|&&u| !u).count()
+    fn depart(&mut self, c: usize) -> Option<usize> {
+        let ap = self.state.assoc[c].map(|a| a.0);
+        self.ctl.deassociate(&mut self.state, ClientId(c));
+        ap
+    }
+
+    /// Network-wide, and even when the client had or got no AP: widths
+    /// are re-evaluated against the live model after every session
+    /// event (the historical schedule the goldens pin).
+    fn adapt_after_cell_change(&mut self, _ap: Option<usize>) {
+        self.ctl.adapt_widths(&self.wlan, &mut self.state);
+    }
+
+    fn epoch(&self) {}
+
+    /// The live-AP total (bit-identical to the plain total while every
+    /// AP is up, so fault-free runs keep their golden fingerprints).
+    fn epoch_bps(&self, _epoch: &()) -> f64 {
+        self.ctl
+            .total_throughput_bps_up(&self.wlan, &self.state, &self.ap_up)
+    }
+
+    fn reoptimize(
+        &mut self,
+        _epoch: (),
+        restarts: usize,
+        seed: u64,
+        adapt_widths: bool,
+        sink: &RecordingSink,
+    ) -> (f64, usize) {
+        let r = self
+            .ctl
+            .reallocate(&self.wlan, &mut self.state, restarts, seed, sink);
+        if adapt_widths {
+            self.ctl.adapt_widths(&self.wlan, &mut self.state);
+        }
+        (r.total_bps, r.switches)
     }
 }
 
@@ -156,11 +315,11 @@ pub struct SessionProcess {
     pub adapt_widths: bool,
 }
 
-impl Process<AcornWorld, AcornEvent> for SessionProcess {
-    fn start(&mut self, ctx: &mut Ctx<'_, AcornWorld, AcornEvent>) {
+impl<W: World> Process<W, AcornEvent> for SessionProcess {
+    fn start(&mut self, ctx: &mut Ctx<'_, W, AcornEvent>) {
         for s in &self.sessions {
             assert!(
-                s.client < ctx.world.wlan.clients.len(),
+                s.client < ctx.world.shared().wlan.clients.len(),
                 "session client {} has no position in the deployment",
                 s.client
             );
@@ -181,41 +340,28 @@ impl Process<AcornWorld, AcornEvent> for SessionProcess {
         }
     }
 
-    fn handle(&mut self, event: &AcornEvent, ctx: &mut Ctx<'_, AcornWorld, AcornEvent>) {
+    fn handle(&mut self, event: &AcornEvent, ctx: &mut Ctx<'_, W, AcornEvent>) {
         match *event {
             AcornEvent::Arrive(c) => {
-                // Algorithm 1, unrolled from `AcornController::associate`
-                // so the chosen candidate's own delay is available for
-                // telemetry without recomputing the candidate set.
-                let w = &mut *ctx.world;
-                let mut candidates = w.ctl.candidates_for(&w.wlan, &w.state, ClientId(c));
-                // Dead APs don't beacon, so clients never see them as
-                // candidates. A no-op while every AP is up.
-                candidates.retain(|cand| w.ap_up[cand.ap.0]);
-                let mut delay = None;
                 // Candidate-ranking metrics (assoc.*) go through an
                 // ephemeral sink drained into the run-wide recorder —
                 // event handlers are sequential, so this is
                 // deterministic by construction.
                 let sink = RecordingSink::new();
-                if let Some(i) = choose_ap_obs(&candidates, &sink) {
-                    w.state.assoc[c] = Some(candidates[i].ap);
-                    delay = Some(candidates[i].delay_u_s);
-                }
+                let chosen = ctx.world.arrive(c, &sink);
                 sink.drain_into(ctx.telemetry);
                 if self.adapt_widths {
-                    w.ctl.adapt_widths(&w.wlan, &mut w.state);
+                    ctx.world.adapt_after_cell_change(chosen.map(|(ap, _)| ap));
                 }
                 ctx.telemetry.inc("sessions.arrivals");
-                if let Some(d) = delay {
-                    ctx.telemetry.observe("association.delay_s", d);
+                if let Some((_, delay)) = chosen {
+                    ctx.telemetry.observe("association.delay_s", delay);
                 }
             }
             AcornEvent::Depart(c) => {
-                let w = &mut *ctx.world;
-                w.ctl.deassociate(&mut w.state, ClientId(c));
+                let ap = ctx.world.depart(c);
                 if self.adapt_widths {
-                    w.ctl.adapt_widths(&w.wlan, &mut w.state);
+                    ctx.world.adapt_after_cell_change(ap);
                 }
                 ctx.telemetry.inc("sessions.departures");
             }
@@ -265,13 +411,15 @@ impl SeedPolicy {
 /// `horizon_s`, self-scheduling each next tick. Each firing records a
 /// [`ReallocRecord`] into the world and telemetry series
 /// `network_bps.before`/`network_bps.after`, a `switches` histogram, and
-/// a `reallocations` counter.
+/// a `reallocations` counter (plus whatever `alloc.*`/`model.*` metrics
+/// the world's re-optimization reports, e.g. `alloc.shards`).
 pub struct ReallocationTimer {
     /// Re-allocation period `T` (s).
     pub period_s: f64,
     /// Horizon (s); ticks at or past it never fire.
     pub horizon_s: f64,
-    /// Random restarts per epoch (fanned over the thread pool).
+    /// Random restarts per epoch (per shard), fanned over the thread
+    /// pool.
     pub restarts: usize,
     /// Run the width adaptation after each re-allocation.
     pub adapt_widths: bool,
@@ -280,12 +428,47 @@ pub struct ReallocationTimer {
     /// Degrade gracefully when APs are down: keep the last-known-good
     /// plan, skip re-optimization, and force cells bordering a dead AP to
     /// 20 MHz. Off, the timer re-optimizes blindly every epoch (the
-    /// pre-fault-layer behaviour).
+    /// pre-fault-layer behaviour — and bit-identical to it while every
+    /// AP is up).
     pub safe_mode: bool,
 }
 
-impl Process<AcornWorld, AcornEvent> for ReallocationTimer {
-    fn start(&mut self, ctx: &mut Ctx<'_, AcornWorld, AcornEvent>) {
+impl ReallocationTimer {
+    /// The timer a scenario with master seed `seed` registers. A fault
+    /// layer (`faulty`) switches on safe mode and makes epoch seeds count
+    /// epochs (`seed + 1`, `seed + 2`, …) rather than events: a faulty
+    /// run and its golden twin schedule different event interleavings
+    /// (delayed deliveries consume sequence numbers), and the resilience
+    /// comparison is only meaningful if both draw identical per-epoch
+    /// restart streams. Without one, seeds derive from the firing
+    /// event's sequence number.
+    pub fn for_scenario(
+        period_s: f64,
+        horizon_s: f64,
+        restarts: usize,
+        adapt_widths: bool,
+        seed: u64,
+        faulty: bool,
+    ) -> ReallocationTimer {
+        ReallocationTimer {
+            period_s,
+            horizon_s,
+            restarts,
+            adapt_widths,
+            seed_policy: if faulty {
+                SeedPolicy::Sequential {
+                    next: seed.wrapping_add(1),
+                }
+            } else {
+                SeedPolicy::FromEventSeq { base: seed }
+            },
+            safe_mode: faulty,
+        }
+    }
+}
+
+impl<W: World> Process<W, AcornEvent> for ReallocationTimer {
+    fn start(&mut self, ctx: &mut Ctx<'_, W, AcornEvent>) {
         ctx.telemetry.register_histogram(
             "switches",
             Histogram::linear(0.0, 32.0, 32).expect("static histogram bounds"),
@@ -295,14 +478,13 @@ impl Process<AcornWorld, AcornEvent> for ReallocationTimer {
         }
     }
 
-    fn handle(&mut self, event: &AcornEvent, ctx: &mut Ctx<'_, AcornWorld, AcornEvent>) {
+    fn handle(&mut self, event: &AcornEvent, ctx: &mut Ctx<'_, W, AcornEvent>) {
         debug_assert_eq!(*event, AcornEvent::Reallocate);
         let t = ctx.now();
         let seed = self.seed_policy.epoch_seed(ctx.event_seq());
         let w = &mut *ctx.world;
-        // With every AP up this is bit-identical to the plain total, so
-        // fault-free runs keep their golden fingerprints.
-        let before = w.ctl.total_throughput_bps_up(&w.wlan, &w.state, &w.ap_up);
+        let epoch = w.epoch();
+        let before = w.epoch_bps(&epoch);
         let active = w.active_clients();
         let degraded = self.safe_mode && !w.all_up();
         let (after, switches) = if degraded {
@@ -310,37 +492,33 @@ impl Process<AcornWorld, AcornEvent> for ReallocationTimer {
             // re-optimization now would chase phantom interference. Keep
             // the last plan a healthy epoch deployed and shed the risky
             // 40 MHz bonds next to the hole.
-            if let Some((assignments, widths)) = w.last_good.clone() {
-                w.state.assignments = assignments;
-                w.state.operating_width = widths;
+            let s = w.shared();
+            if let Some((assignments, widths)) = s.last_good.clone() {
+                s.state.assignments = assignments;
+                s.state.operating_width = widths;
             }
-            let graph = w.wlan.ap_only_interference_graph();
-            for ap in 0..w.wlan.aps.len() {
-                if w.ap_up[ap] && graph.neighbors(ApId(ap)).any(|n| !w.ap_up[n.0]) {
-                    w.state.operating_width[ap] = ChannelWidth::Ht20;
+            let graph = s.wlan.ap_only_interference_graph();
+            for ap in 0..s.ap_up.len() {
+                if s.ap_up[ap] && graph.neighbors(ApId(ap)).any(|n| !s.ap_up[n.0]) {
+                    s.state.operating_width[ap] = ChannelWidth::Ht20;
                 }
             }
             ctx.telemetry
                 .inc(acorn_obs::names::CONTROLLER_SAFE_MODE_EPOCHS);
-            let after = w.ctl.total_throughput_bps_up(&w.wlan, &w.state, &w.ap_up);
-            (after, 0)
+            (w.epoch_bps(&epoch), 0)
         } else {
             // The epoch's alloc.*/model.* metrics ride an ephemeral sink
             // shared across the restart fan-out (counter adds commute,
             // so the totals are thread-invariant) and drain into the
             // run-wide recorder here, sequentially.
             let sink = RecordingSink::new();
-            let r = w
-                .ctl
-                .reallocate(&w.wlan, &mut w.state, self.restarts, seed, &sink);
+            let done = w.reoptimize(epoch, self.restarts, seed, self.adapt_widths, &sink);
             sink.drain_into(ctx.telemetry);
-            if self.adapt_widths {
-                w.ctl.adapt_widths(&w.wlan, &mut w.state);
-            }
             if self.safe_mode {
-                w.last_good = Some((w.state.assignments.clone(), w.state.operating_width.clone()));
+                let s = w.shared();
+                *s.last_good = Some((s.state.assignments.clone(), s.state.operating_width.clone()));
             }
-            (r.total_bps, r.switches)
+            done
         };
         let record = ReallocRecord {
             t_s: t,
@@ -351,7 +529,7 @@ impl Process<AcornWorld, AcornEvent> for ReallocationTimer {
             degraded,
             down_aps: w.down_count(),
         };
-        w.realloc_log.push(record);
+        w.shared().realloc_log.push(record);
         ctx.telemetry.inc("reallocations");
         ctx.telemetry.record("network_bps.before", t, before);
         ctx.telemetry.record("network_bps.after", t, after);
@@ -419,10 +597,11 @@ impl Process<AcornWorld, AcornEvent> for MobilityProcess {
 /// [`drift_phase`](acorn_topology::pathloss::LogDistance::drift_phase) by
 /// `phase_step_rad`, smoothly decorrelating every link's shadowing draw
 /// from its initial value while keeping the marginal distribution — and
-/// full determinism — intact. Models the hours-scale environment changes
-/// (doors, furniture, crowds) that motivate periodic re-allocation in
-/// the first place. Telemetry: `drift.phase_rad` gauge, `drift.steps`
-/// counter.
+/// full determinism — intact, then lets the world refresh what the step
+/// invalidated ([`World::after_drift`]). Models the hours-scale
+/// environment changes (doors, furniture, crowds) that motivate periodic
+/// re-allocation in the first place. Telemetry: `drift.phase_rad` gauge,
+/// `drift.steps` counter.
 pub struct DriftProcess {
     /// Drift step period (s).
     pub period_s: f64,
@@ -432,18 +611,20 @@ pub struct DriftProcess {
     pub phase_step_rad: f64,
 }
 
-impl Process<AcornWorld, AcornEvent> for DriftProcess {
-    fn start(&mut self, ctx: &mut Ctx<'_, AcornWorld, AcornEvent>) {
+impl<W: World> Process<W, AcornEvent> for DriftProcess {
+    fn start(&mut self, ctx: &mut Ctx<'_, W, AcornEvent>) {
         if self.period_s <= self.horizon_s {
             ctx.schedule_at(self.period_s, AcornEvent::DriftStep);
         }
     }
 
-    fn handle(&mut self, event: &AcornEvent, ctx: &mut Ctx<'_, AcornWorld, AcornEvent>) {
+    fn handle(&mut self, event: &AcornEvent, ctx: &mut Ctx<'_, W, AcornEvent>) {
         debug_assert_eq!(*event, AcornEvent::DriftStep);
         let t = ctx.now();
-        ctx.world.wlan.pathloss.drift_phase += self.phase_step_rad;
-        let phase = ctx.world.wlan.pathloss.drift_phase;
+        let pathloss = &mut ctx.world.shared().wlan.pathloss;
+        pathloss.drift_phase += self.phase_step_rad;
+        let phase = pathloss.drift_phase;
+        ctx.world.after_drift();
         ctx.telemetry.set_gauge("drift.phase_rad", phase);
         ctx.telemetry.inc("drift.steps");
         let next = t + self.period_s;
@@ -464,13 +645,24 @@ pub struct MobilitySpec {
     pub sample_period_s: f64,
 }
 
-/// Drift parameters for a [`CompositeScenario`].
+/// Drift parameters for a scenario.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriftSpec {
     /// Drift step period (s).
     pub period_s: f64,
     /// Phase advance per step (radians).
     pub phase_step_rad: f64,
+}
+
+impl DriftSpec {
+    /// The drift process for a run to `horizon_s`.
+    pub fn process(&self, horizon_s: f64) -> DriftProcess {
+        DriftProcess {
+            period_s: self.period_s,
+            horizon_s,
+            phase_step_rad: self.phase_step_rad,
+        }
+    }
 }
 
 /// A full scenario: session churn + periodic re-allocation, optionally
@@ -508,10 +700,11 @@ pub struct CompositeScenario {
     pub record_log: bool,
 }
 
-/// What a [`CompositeScenario`] run produced.
+/// What a [`CompositeScenario`] or [`CityScenario`](crate::CityScenario)
+/// run produced.
 pub struct CompositeReport {
     /// Events dispatched and final virtual time.
-    pub stats: crate::sim::RunStats,
+    pub stats: RunStats,
     /// The frozen telemetry.
     pub telemetry: TelemetrySnapshot,
     /// The executed-event log (present iff `record_log` was set).
@@ -521,10 +714,31 @@ pub struct CompositeReport {
     /// The final controller state.
     pub final_state: NetworkState,
     /// Fault-layer aggregates (present iff `faults` was set). The golden
-    /// comparison fields are zero unless
-    /// [`run_resilience`](CompositeScenario::run_resilience) produced the
+    /// comparison fields are zero unless a `run_resilience` produced the
     /// report.
     pub resilience: Option<ResilienceReport>,
+}
+
+impl CompositeReport {
+    /// Runs `sim` to `horizon_s` and collects its report; `faulty` says
+    /// whether a fault layer is registered.
+    pub(crate) fn run<W: World>(
+        mut sim: Simulation<W, AcornEvent>,
+        horizon_s: f64,
+        faulty: bool,
+    ) -> CompositeReport {
+        let stats = sim.run(horizon_s);
+        let log = sim.event_log().cloned();
+        let world = sim.world.shared();
+        CompositeReport {
+            stats,
+            telemetry: sim.telemetry.snapshot(),
+            log,
+            realloc: std::mem::take(world.realloc_log),
+            final_state: world.state.clone(),
+            resilience: faulty.then(|| ResilienceReport::from_telemetry(&sim.telemetry)),
+        }
+    }
 }
 
 impl CompositeScenario {
@@ -538,25 +752,14 @@ impl CompositeScenario {
             horizon_s: self.horizon_s,
             adapt_widths: self.adapt_widths,
         }));
-        sim.add_process(Box::new(ReallocationTimer {
-            period_s: self.reallocation_period_s,
-            horizon_s: self.horizon_s,
-            restarts: self.restarts,
-            adapt_widths: self.adapt_widths,
-            // With faults on, epoch seeds count epochs rather than events:
-            // a faulty run and its golden twin schedule different event
-            // interleavings (delayed deliveries consume sequence numbers),
-            // and the resilience comparison is only meaningful if both
-            // draw identical per-epoch restart streams.
-            seed_policy: if self.faults.is_some() {
-                SeedPolicy::Sequential {
-                    next: self.seed.wrapping_add(1),
-                }
-            } else {
-                SeedPolicy::FromEventSeq { base: self.seed }
-            },
-            safe_mode: self.faults.is_some(),
-        }));
+        sim.add_process(Box::new(ReallocationTimer::for_scenario(
+            self.reallocation_period_s,
+            self.horizon_s,
+            self.restarts,
+            self.adapt_widths,
+            self.seed,
+            self.faults.is_some(),
+        )));
         if let Some(m) = self.mobility {
             sim.add_process(Box::new(MobilityProcess {
                 client: m.client,
@@ -567,27 +770,12 @@ impl CompositeScenario {
             }));
         }
         if let Some(d) = self.drift {
-            sim.add_process(Box::new(DriftProcess {
-                period_s: d.period_s,
-                horizon_s: self.horizon_s,
-                phase_step_rad: d.phase_step_rad,
-            }));
+            sim.add_process(Box::new(d.process(self.horizon_s)));
         }
         if let Some(plan) = self.faults {
             sim.add_process(Box::new(FaultProcess::new(plan, self.horizon_s)));
         }
-        let stats = sim.run(self.horizon_s);
-        let resilience = self
-            .faults
-            .map(|_| ResilienceReport::from_telemetry(&sim.telemetry));
-        CompositeReport {
-            stats,
-            telemetry: sim.telemetry.snapshot(),
-            log: sim.event_log().cloned(),
-            realloc: std::mem::take(&mut sim.world.realloc_log),
-            final_state: sim.world.state.clone(),
-            resilience,
-        }
+        CompositeReport::run(sim, self.horizon_s, self.faults.is_some())
     }
 
     /// Runs the scenario twice — once with its fault plan, once with the
@@ -597,22 +785,17 @@ impl CompositeScenario {
     /// same seed, control cadence, and detection thresholds, so the only
     /// difference between the runs is the faults themselves.
     pub fn run_resilience(&self, ctl: &AcornController) -> CompositeReport {
-        let plan = self.faults.unwrap_or_default();
-        let mut faulty = self.clone();
-        faulty.faults = Some(plan);
-        let mut report = faulty.run(ctl);
-        let mut golden = self.clone();
-        golden.faults = Some(plan.benign_twin());
-        let golden_report = golden.run(ctl);
-        if let (Some(r), Some(g)) = (report.resilience.as_mut(), golden_report.resilience) {
-            r.golden_mean_bps = g.faulty_mean_bps;
-            r.throughput_retained = if g.faulty_mean_bps > 0.0 {
-                r.faulty_mean_bps / g.faulty_mean_bps
-            } else {
-                0.0
-            };
-        }
-        report
+        resilience_twin(
+            self.faults.unwrap_or_default(),
+            |plan| {
+                let faulty = CompositeScenario {
+                    faults: Some(plan),
+                    ..self.clone()
+                };
+                faulty.run(ctl)
+            },
+            |r| &mut r.resilience,
+        )
     }
 }
 

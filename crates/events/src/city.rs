@@ -5,7 +5,7 @@
 //! interference graph, every cell's SNR list, and every AP's beacon from
 //! scratch on each event — exact, but O(network) per event, which caps it
 //! at a few hundred APs. [`CityScenario`] is the large-deployment
-//! counterpart built on this PR's three optimizations:
+//! counterpart built on three optimizations:
 //!
 //! * an AP [`SpatialGrid`] answers "which APs can hear this point?" in
 //!   O(neighbours), so association candidate sets and interference-edge
@@ -34,23 +34,31 @@
 //!   every active link's SNR). Faults are: [`CityScenario::faults`]
 //!   drives the localized [`CityFaultProcess`].
 //!
+//! [`CityWorld`] implements the [`World`] trait with the localized
+//! answers above, and the scenario registers the same
+//! [`SessionProcess`], [`ReallocationTimer`] and
+//! [`DriftProcess`](crate::DriftProcess) as the exact composite, so
+//! telemetry names and write order match by construction.
+//!
 //! Determinism is inherited wholesale: handlers are sequential, the
 //! client-edge multiset lives in `BTreeMap`s (ordered iteration), and the
 //! only parallel section is the order-stable sharded restart fan-out — so
 //! runs are bit-identical at any `ACORN_THREADS`.
 
-use crate::acorn::{AcornEvent, DriftSpec, ReallocRecord, SeedPolicy};
+use crate::acorn::{
+    AcornEvent, CompositeReport, DriftSpec, Plan, ReallocRecord, ReallocationTimer, SessionProcess,
+    Shared, World,
+};
 use crate::cityfaults::CityFaultProcess;
-use crate::faults::{FaultPlan, ResilienceReport};
-use crate::sim::{Ctx, Process, Simulation};
-use crate::telemetry::{Histogram, TelemetrySnapshot};
+use crate::faults::{resilience_twin, FaultPlan};
+use crate::sim::Simulation;
 use acorn_core::{
     allocate_sharded, choose_ap_obs, AcornController, AllocSpec, Candidate, ClientSnr,
     NetworkModel, NetworkState, ThroughputModel,
 };
 use acorn_obs::RecordingSink;
 use acorn_phy::ChannelWidth;
-use acorn_topology::{ApId, ChannelAssignment, ClientId, InterferenceGraph, SpatialGrid, Wlan};
+use acorn_topology::{ApId, ClientId, InterferenceGraph, SpatialGrid, Wlan};
 use acorn_traces::Session;
 use std::collections::BTreeMap;
 
@@ -69,10 +77,8 @@ pub struct CityWorld {
     /// Liveness per AP — all `true` unless a fault process crashes one.
     /// Dead APs don't beacon, so association skips them.
     pub ap_up: Vec<bool>,
-    /// The last assignment + width vector a *healthy* re-allocation epoch
-    /// deployed; safe mode restores it instead of re-optimizing on a
-    /// partial view of the network.
-    pub last_good: Option<(Vec<ChannelAssignment>, Vec<ChannelWidth>)>,
+    /// The last plan a *healthy* re-allocation epoch deployed.
+    pub last_good: Option<Plan>,
     /// Spatial index over AP positions.
     grid: SpatialGrid,
     /// Static AP–AP conflict edges (both directions, ascending).
@@ -130,26 +136,6 @@ impl CityWorld {
         }
     }
 
-    /// Clients currently associated.
-    pub fn active_clients(&self) -> usize {
-        self.active
-    }
-
-    /// Whether every AP is up.
-    pub fn all_up(&self) -> bool {
-        self.ap_up.iter().all(|&u| u)
-    }
-
-    /// APs currently down.
-    pub fn down_count(&self) -> usize {
-        self.ap_up.iter().filter(|&&u| !u).count()
-    }
-
-    /// Static (AP–AP carrier-sense) neighbours of `ap`, ascending.
-    pub fn static_neighbors(&self, ap: usize) -> &[u32] {
-        &self.static_adj[ap]
-    }
-
     /// The clients currently in `ap`'s cell, in association order.
     pub fn cell_clients(&self, ap: usize) -> &[u32] {
         &self.cells[ap]
@@ -188,26 +174,24 @@ impl CityWorld {
     }
 
     /// The paper's `M = 1/(|con|+1)` access share of `ap` under the
-    /// current dynamic graph and *effective* assignments.
-    fn access_share(&self, ap: usize) -> f64 {
+    /// current dynamic graph and *effective* assignments, counting the
+    /// conflicting neighbours `counts` admits.
+    fn access_share_among(&self, ap: usize, counts: impl Fn(usize) -> bool) -> f64 {
         let own = self.state.effective_assignment(ApId(ap));
-        let mut con = 0usize;
-        for &j in &self.static_adj[ap] {
-            if own.conflicts(self.state.effective_assignment(ApId(j as usize))) {
-                con += 1;
-            }
-        }
-        for &j in self.via_adj[ap].keys() {
-            // Client-mediated neighbours already in static range were
-            // counted above.
-            if self.static_adj[ap].binary_search(&j).is_ok() {
-                continue;
-            }
-            if own.conflicts(self.state.effective_assignment(ApId(j as usize))) {
-                con += 1;
-            }
-        }
-        1.0 / (con as f64 + 1.0)
+        let conflicts = |j: u32| {
+            counts(j as usize) && own.conflicts(self.state.effective_assignment(ApId(j as usize)))
+        };
+        let direct = self.static_adj[ap]
+            .iter()
+            .filter(|&&j| conflicts(j))
+            .count();
+        // Client-mediated neighbours already in static range were counted
+        // above.
+        let via = self.via_adj[ap]
+            .keys()
+            .filter(|&&j| self.static_adj[ap].binary_search(&j).is_err() && conflicts(j))
+            .count();
+        1.0 / ((direct + via) as f64 + 1.0)
     }
 
     /// Sum of the cell's per-client delivery delays at `width` (the
@@ -225,7 +209,7 @@ impl CityWorld {
     /// Localized §5.2 width adaptation for one AP (same hysteretic rule
     /// as [`AcornController::adapt_widths`]; cell throughput at equal
     /// access share is `k·8·payload/ATD`, so widths compare by `1/ATD`).
-    pub fn adapt_width_local(&mut self, ap: usize) {
+    fn adapt_width_local(&mut self, ap: usize) {
         if self.state.assignments[ap].width() != ChannelWidth::Ht40 || self.cells[ap].is_empty() {
             return;
         }
@@ -274,108 +258,10 @@ impl CityWorld {
         }
     }
 
-    /// Algorithm 1 over the spatial candidate set. Returns the chosen AP
-    /// and the client's own delivery delay there, recording candidate
-    /// metrics into `sink`. Dead APs don't beacon, so clients never see
-    /// them as candidates — a no-op while every AP is up.
-    pub fn associate_obs(&mut self, c: usize, sink: &RecordingSink) -> Option<(usize, f64)> {
-        let pos = self.wlan.clients[c].pos;
-        let mut candidates = Vec::new();
-        let mut snrs = Vec::new();
-        for ap in self.grid.within(&pos, self.candidate_radius_m) {
-            if !self.ap_up[ap] {
-                continue;
-            }
-            let snr20 = self.wlan.snr_db(ApId(ap), ClientId(c), ChannelWidth::Ht20);
-            if snr20 < self.ctl.config.association_snr_floor_db {
-                continue;
-            }
-            let width = self.state.operating_width[ap];
-            let d_u = self.ctl.delay_from_snr(snr20, width);
-            candidates.push(Candidate {
-                ap: ApId(ap),
-                k_including_u: self.cells[ap].len() + 1,
-                access_share: self.access_share(ap),
-                atd_including_u_s: self.cell_atd_s(ap, width) + d_u,
-                delay_u_s: d_u,
-            });
-            snrs.push(snr20);
-        }
-        let i = choose_ap_obs(&candidates, sink)?;
-        let ap = candidates[i].ap.0;
-        self.state.assoc[c] = Some(ApId(ap));
-        self.client_snr20[c] = snrs[i];
-        self.cells[ap].push(c as u32);
-        self.active += 1;
-        self.update_via_edges(c, ap, 1);
-        Some((ap, candidates[i].delay_u_s))
-    }
-
-    /// Removes a departing client, unwinding its edges and cell entry.
-    /// Returns its former AP.
-    pub fn deassociate(&mut self, c: usize) -> Option<usize> {
-        let ap = self.state.assoc[c]?.0;
-        self.update_via_edges(c, ap, -1);
-        self.cells[ap].retain(|&x| x as usize != c);
-        self.state.assoc[c] = None;
-        self.active -= 1;
-        Some(ap)
-    }
-
-    /// Builds the throughput model from the maintained structures (the
-    /// composite's `build_model` re-derives cells by scanning every
-    /// client per AP — O(aps·clients) — which this path exists to avoid).
-    pub fn build_model(&self) -> NetworkModel {
-        let graph = self.graph_snapshot();
-        let cells: Vec<Vec<ClientSnr>> = self
-            .cells
-            .iter()
-            .map(|cell| {
-                cell.iter()
-                    .map(|&c| ClientSnr {
-                        client: c as usize,
-                        snr20_db: self.client_snr20[c as usize],
-                    })
-                    .collect()
-            })
-            .collect();
-        self.ctl.model_from(graph, cells)
-    }
-
-    /// Refreshes every active client's cached SNR (after a drift step
-    /// decorrelated the shadowing draws).
-    pub fn refresh_snrs(&mut self) {
-        for ap in 0..self.cells.len() {
-            for i in 0..self.cells[ap].len() {
-                let c = self.cells[ap][i] as usize;
-                self.client_snr20[c] = self.wlan.snr_db(ApId(ap), ClientId(c), ChannelWidth::Ht20);
-            }
-        }
-    }
-
     /// `M = 1/(|con|+1)` counting only *live* conflicting neighbours —
     /// dead APs don't transmit, so they cost no airtime.
     pub fn access_share_up(&self, ap: usize) -> f64 {
-        let own = self.state.effective_assignment(ApId(ap));
-        let mut con = 0usize;
-        for &j in &self.static_adj[ap] {
-            if self.ap_up[j as usize]
-                && own.conflicts(self.state.effective_assignment(ApId(j as usize)))
-            {
-                con += 1;
-            }
-        }
-        for &j in self.via_adj[ap].keys() {
-            if self.static_adj[ap].binary_search(&j).is_ok() {
-                continue;
-            }
-            if self.ap_up[j as usize]
-                && own.conflicts(self.state.effective_assignment(ApId(j as usize)))
-            {
-                con += 1;
-            }
-        }
-        1.0 / (con as f64 + 1.0)
+        self.access_share_among(ap, |j| self.ap_up[j])
     }
 
     /// One live cell's goodput under the localized model:
@@ -407,227 +293,159 @@ impl CityWorld {
     }
 }
 
-/// Session churn over a [`CityWorld`] — the spatial-index counterpart of
-/// [`SessionProcess`](crate::SessionProcess), with identical telemetry
-/// names (`sessions.arrivals`, `sessions.departures`, `clients.active`,
-/// `association.delay_s`).
-pub struct CitySessionProcess {
-    /// The session trace.
-    pub sessions: Vec<Session>,
-    /// Simulated horizon (s).
-    pub horizon_s: f64,
-    /// Run the localized width adaptation after cell changes.
-    pub adapt_widths: bool,
-}
+impl World for CityWorld {
+    /// The throughput model built once per epoch from the maintained
+    /// structures.
+    type Epoch = NetworkModel;
 
-impl Process<CityWorld, AcornEvent> for CitySessionProcess {
-    fn start(&mut self, ctx: &mut Ctx<'_, CityWorld, AcornEvent>) {
-        for s in &self.sessions {
-            assert!(
-                s.client < ctx.world.wlan.clients.len(),
-                "session client {} has no position in the deployment",
-                s.client
-            );
-        }
-        ctx.telemetry.register_histogram(
-            "association.delay_s",
-            Histogram::linear(0.0, 0.01, 50).expect("static histogram bounds"),
-        );
-        for i in 0..self.sessions.len() {
-            let s = self.sessions[i];
-            if s.start_s < self.horizon_s {
-                ctx.schedule_at(s.start_s, AcornEvent::Arrive(s.client));
-                ctx.schedule_at(s.end_s().min(self.horizon_s), AcornEvent::Depart(s.client));
-            }
+    fn shared(&mut self) -> Shared<'_> {
+        Shared {
+            wlan: &mut self.wlan,
+            state: &mut self.state,
+            ap_up: &mut self.ap_up,
+            last_good: &mut self.last_good,
+            realloc_log: &mut self.realloc_log,
         }
     }
 
-    fn handle(&mut self, event: &AcornEvent, ctx: &mut Ctx<'_, CityWorld, AcornEvent>) {
-        match *event {
-            AcornEvent::Arrive(c) => {
-                let w = &mut *ctx.world;
-                let sink = RecordingSink::new();
-                let chosen = w.associate_obs(c, &sink);
-                sink.drain_into(ctx.telemetry);
-                ctx.telemetry.inc("sessions.arrivals");
-                if let Some((ap, delay)) = chosen {
-                    if self.adapt_widths {
-                        w.adapt_width_local(ap);
-                    }
-                    ctx.telemetry.observe("association.delay_s", delay);
-                }
-            }
-            AcornEvent::Depart(c) => {
-                let w = &mut *ctx.world;
-                if let Some(ap) = w.deassociate(c) {
-                    if self.adapt_widths {
-                        w.adapt_width_local(ap);
-                    }
-                }
-                ctx.telemetry.inc("sessions.departures");
-            }
-            _ => {}
-        }
-        ctx.telemetry
-            .set_gauge("clients.active", ctx.world.active_clients() as f64);
+    fn ap_up(&self) -> &[bool] {
+        &self.ap_up
     }
-}
 
-/// Periodic sharded re-allocation over a [`CityWorld`] — the counterpart
-/// of [`ReallocationTimer`](crate::ReallocationTimer), with the same
-/// telemetry names plus the `alloc.shards` counter the sharded path
-/// reports.
-pub struct CityReallocationTimer {
-    /// Re-allocation period `T` (s).
-    pub period_s: f64,
-    /// Horizon (s); ticks at or past it never fire.
-    pub horizon_s: f64,
-    /// Random restarts per shard per epoch.
-    pub restarts: usize,
-    /// Run the localized width adaptation after each re-allocation.
-    pub adapt_widths: bool,
-    /// Per-epoch seed derivation.
-    pub seed_policy: SeedPolicy,
-    /// Degrade gracefully when APs are down: keep the last-known-good
-    /// plan, skip re-optimization, and force cells bordering a dead AP to
-    /// 20 MHz. Off, the timer re-optimizes blindly every epoch (the
-    /// pre-fault-layer behaviour — and bit-identical to it while every
-    /// AP is up).
-    pub safe_mode: bool,
-}
+    fn active_clients(&self) -> usize {
+        self.active
+    }
 
-impl Process<CityWorld, AcornEvent> for CityReallocationTimer {
-    fn start(&mut self, ctx: &mut Ctx<'_, CityWorld, AcornEvent>) {
-        ctx.telemetry.register_histogram(
-            "switches",
-            Histogram::linear(0.0, 32.0, 32).expect("static histogram bounds"),
-        );
-        if self.period_s < self.horizon_s {
-            ctx.schedule_at(self.period_s, AcornEvent::Reallocate);
+    /// Algorithm 1 over the spatial candidate set.
+    fn arrive(&mut self, c: usize, sink: &RecordingSink) -> Option<(usize, f64)> {
+        let pos = self.wlan.clients[c].pos;
+        let mut candidates = Vec::new();
+        let mut snrs = Vec::new();
+        for ap in self.grid.within(&pos, self.candidate_radius_m) {
+            if !self.ap_up[ap] {
+                continue;
+            }
+            let snr20 = self.wlan.snr_db(ApId(ap), ClientId(c), ChannelWidth::Ht20);
+            if snr20 < self.ctl.config.association_snr_floor_db {
+                continue;
+            }
+            let width = self.state.operating_width[ap];
+            let d_u = self.ctl.delay_from_snr(snr20, width);
+            candidates.push(Candidate {
+                ap: ApId(ap),
+                k_including_u: self.cells[ap].len() + 1,
+                access_share: self.access_share_among(ap, |_| true),
+                atd_including_u_s: self.cell_atd_s(ap, width) + d_u,
+                delay_u_s: d_u,
+            });
+            snrs.push(snr20);
+        }
+        let i = choose_ap_obs(&candidates, sink)?;
+        let ap = candidates[i].ap.0;
+        self.state.assoc[c] = Some(ApId(ap));
+        self.client_snr20[c] = snrs[i];
+        self.cells[ap].push(c as u32);
+        self.active += 1;
+        self.update_via_edges(c, ap, 1);
+        Some((ap, candidates[i].delay_u_s))
+    }
+
+    /// Unwinds the departing client's edges and cell entry.
+    fn depart(&mut self, c: usize) -> Option<usize> {
+        let ap = self.state.assoc[c]?.0;
+        self.update_via_edges(c, ap, -1);
+        self.cells[ap].retain(|&x| x as usize != c);
+        self.state.assoc[c] = None;
+        self.active -= 1;
+        Some(ap)
+    }
+
+    /// Local: only the changed cell re-evaluates its width.
+    fn adapt_after_cell_change(&mut self, ap: Option<usize>) {
+        if let Some(ap) = ap {
+            self.adapt_width_local(ap);
         }
     }
 
-    fn handle(&mut self, event: &AcornEvent, ctx: &mut Ctx<'_, CityWorld, AcornEvent>) {
-        debug_assert_eq!(*event, AcornEvent::Reallocate);
-        let t = ctx.now();
-        let seed = self.seed_policy.epoch_seed(ctx.event_seq());
-        let w = &mut *ctx.world;
-        let model = w.build_model();
-        // Before/after are the model's own objective (assignment widths):
-        // the composite's per-AP effective-width total rebuilds the model
-        // once per AP, which is O(n²) and exactly what city mode avoids.
-        let before = model.total_bps(&w.state.assignments);
-        let active = w.active_clients();
-        let degraded = self.safe_mode && !w.all_up();
-        let (after, switches) = if degraded {
-            // Safe mode: a partial network means a partial view — any
-            // re-optimization now would chase phantom interference. Keep
-            // the last plan a healthy epoch deployed and shed the risky
-            // 40 MHz bonds next to the hole.
-            if let Some((assignments, widths)) = w.last_good.clone() {
-                w.state.assignments = assignments;
-                w.state.operating_width = widths;
-            }
-            for ap in 0..w.wlan.aps.len() {
-                if w.ap_up[ap] && w.static_adj[ap].iter().any(|&n| !w.ap_up[n as usize]) {
-                    w.state.operating_width[ap] = ChannelWidth::Ht20;
-                }
-            }
-            ctx.telemetry
-                .inc(acorn_obs::names::CONTROLLER_SAFE_MODE_EPOCHS);
-            (model.total_bps(&w.state.assignments), 0)
-        } else {
-            let sink = RecordingSink::new();
-            let spec = AllocSpec {
-                start: Some(w.state.assignments.clone()),
-                restarts: self.restarts,
-                seed,
-            };
-            let r = allocate_sharded(
-                &model,
-                &w.ctl.config.plan,
-                &w.ctl.config.allocation,
-                &spec,
-                &sink,
-            );
-            w.state.assignments = r.assignments.clone();
-            w.state.operating_width = w.state.assignments.iter().map(|a| a.width()).collect();
-            if self.adapt_widths {
-                for ap in 0..w.wlan.aps.len() {
-                    w.adapt_width_local(ap);
-                }
-            }
-            // Flush the epoch's model-evaluation and goodput-table counters
-            // alongside the alloc.* metrics (the controller's `reallocate`
-            // does the same after its fan-out).
-            model.flush_stats_into(&sink);
-            sink.drain_into(ctx.telemetry);
-            if self.safe_mode {
-                w.last_good = Some((w.state.assignments.clone(), w.state.operating_width.clone()));
-            }
-            (r.total_bps, r.switches)
+    /// Built from the maintained structures (the composite's
+    /// `build_model` re-derives cells by scanning every client per AP —
+    /// O(aps·clients) — which this path exists to avoid).
+    fn epoch(&self) -> NetworkModel {
+        let cells: Vec<Vec<ClientSnr>> = self
+            .cells
+            .iter()
+            .map(|cell| {
+                cell.iter()
+                    .map(|&c| ClientSnr {
+                        client: c as usize,
+                        snr20_db: self.client_snr20[c as usize],
+                    })
+                    .collect()
+            })
+            .collect();
+        self.ctl.model_from(self.graph_snapshot(), cells)
+    }
+
+    /// The model's own objective at assignment widths: the composite's
+    /// per-AP effective-width total rebuilds the model once per AP,
+    /// which is O(n²) and exactly what city mode avoids.
+    fn epoch_bps(&self, model: &NetworkModel) -> f64 {
+        model.total_bps(&self.state.assignments)
+    }
+
+    /// The sharded allocator on the epoch's model, then the localized
+    /// width adaptation on every cell; the model's evaluation and
+    /// goodput-table counters are flushed alongside the `alloc.*`
+    /// metrics (the controller's `reallocate` does the same after its
+    /// fan-out).
+    fn reoptimize(
+        &mut self,
+        model: NetworkModel,
+        restarts: usize,
+        seed: u64,
+        adapt_widths: bool,
+        sink: &RecordingSink,
+    ) -> (f64, usize) {
+        let spec = AllocSpec {
+            start: Some(self.state.assignments.clone()),
+            restarts,
+            seed,
         };
-        let record = ReallocRecord {
-            t_s: t,
-            active_clients: active,
-            before_bps: before,
-            after_bps: after,
-            switches,
-            degraded,
-            down_aps: w.down_count(),
-        };
-        w.realloc_log.push(record);
-        ctx.telemetry.inc("reallocations");
-        ctx.telemetry.record("network_bps.before", t, before);
-        ctx.telemetry.record("network_bps.after", t, after);
-        ctx.telemetry.observe("switches", switches as f64);
-        let next = t + self.period_s;
-        if next < self.horizon_s {
-            ctx.schedule_at(next, AcornEvent::Reallocate);
+        let cfg = &self.ctl.config;
+        let r = allocate_sharded(&model, &cfg.plan, &cfg.allocation, &spec, sink);
+        self.state.assignments = r.assignments.clone();
+        self.state.operating_width = self.state.assignments.iter().map(|a| a.width()).collect();
+        if adapt_widths {
+            for ap in 0..self.wlan.aps.len() {
+                self.adapt_width_local(ap);
+            }
+        }
+        model.flush_stats_into(sink);
+        (r.total_bps, r.switches)
+    }
+
+    /// Drift moved every link: refresh every active client's cached
+    /// SNR.
+    fn after_drift(&mut self) {
+        for ap in 0..self.cells.len() {
+            for i in 0..self.cells[ap].len() {
+                let c = self.cells[ap][i] as usize;
+                self.client_snr20[c] = self.wlan.snr_db(ApId(ap), ClientId(c), ChannelWidth::Ht20);
+            }
         }
     }
 }
 
-/// Shadowing drift over a [`CityWorld`]: advances the path-loss drift
-/// phase and refreshes every active link's cached SNR. Telemetry names
-/// match [`DriftProcess`](crate::DriftProcess) (`drift.phase_rad`,
-/// `drift.steps`).
-pub struct CityDriftProcess {
-    /// Drift step period (s).
-    pub period_s: f64,
-    /// Horizon (s); steps past it never fire.
-    pub horizon_s: f64,
-    /// Phase advance per step (radians).
-    pub phase_step_rad: f64,
-}
-
-impl Process<CityWorld, AcornEvent> for CityDriftProcess {
-    fn start(&mut self, ctx: &mut Ctx<'_, CityWorld, AcornEvent>) {
-        if self.period_s <= self.horizon_s {
-            ctx.schedule_at(self.period_s, AcornEvent::DriftStep);
-        }
-    }
-
-    fn handle(&mut self, event: &AcornEvent, ctx: &mut Ctx<'_, CityWorld, AcornEvent>) {
-        debug_assert_eq!(*event, AcornEvent::DriftStep);
-        let t = ctx.now();
-        ctx.world.wlan.pathloss.drift_phase += self.phase_step_rad;
-        ctx.world.refresh_snrs();
-        ctx.telemetry
-            .set_gauge("drift.phase_rad", ctx.world.wlan.pathloss.drift_phase);
-        ctx.telemetry.inc("drift.steps");
-        let next = t + self.period_s;
-        if next <= self.horizon_s {
-            ctx.schedule_at(next, AcornEvent::DriftStep);
-        }
-    }
-}
+/// The city scenario's re-allocation timer. Kept only as an alias of
+/// [`ReallocationTimer`], which serves both worlds, because existing
+/// callers build it by struct literal under this name.
+pub type CityReallocationTimer = ReallocationTimer;
 
 /// A city-scale scenario: session churn + periodic sharded re-allocation
-/// (+ optional shadowing drift) over one deployment, driven through the
-/// incremental [`CityWorld`]. Process registration order is fixed
-/// (sessions, timer, drift), pinning the dispatch order of simultaneous
-/// events.
+/// (+ optional shadowing drift and fault layer) over one deployment,
+/// driven through the incremental [`CityWorld`]. Process registration
+/// order is fixed (sessions, timer, drift, faults), pinning the dispatch
+/// order of simultaneous events.
 #[derive(Clone)]
 pub struct CityScenario {
     /// The deployment — typically `acorn_sim::scenario::city_grid`
@@ -660,28 +478,9 @@ pub struct CityScenario {
     pub record_log: bool,
 }
 
-/// What a [`CityScenario`] run produced.
-pub struct CityReport {
-    /// Events dispatched and final virtual time.
-    pub stats: crate::sim::RunStats,
-    /// The frozen telemetry.
-    pub telemetry: TelemetrySnapshot,
-    /// The executed-event log (present iff `record_log` was set).
-    pub log: Option<crate::sim::EventLog>,
-    /// One record per re-allocation epoch.
-    pub realloc: Vec<ReallocRecord>,
-    /// The final controller state.
-    pub final_state: NetworkState,
-    /// Fault-layer aggregates (present iff `faults` was set). The golden
-    /// comparison fields are zero unless
-    /// [`run_resilience`](CityScenario::run_resilience) produced the
-    /// report.
-    pub resilience: Option<ResilienceReport>,
-}
-
 impl CityScenario {
     /// Runs the scenario under `ctl` to its horizon.
-    pub fn run(&self, ctl: &AcornController) -> CityReport {
+    pub fn run(&self, ctl: &AcornController) -> CompositeReport {
         let world = CityWorld::new(
             self.wlan.clone(),
             ctl.clone(),
@@ -690,77 +489,43 @@ impl CityScenario {
         );
         let mut sim: Simulation<CityWorld, AcornEvent> = Simulation::new(world);
         sim.record_events(self.record_log);
-        sim.add_process(Box::new(CitySessionProcess {
+        sim.add_process(Box::new(SessionProcess {
             sessions: self.sessions.clone(),
             horizon_s: self.horizon_s,
             adapt_widths: self.adapt_widths,
         }));
-        sim.add_process(Box::new(CityReallocationTimer {
-            period_s: self.reallocation_period_s,
-            horizon_s: self.horizon_s,
-            restarts: self.restarts,
-            adapt_widths: self.adapt_widths,
-            // With faults on, epoch seeds count epochs rather than events:
-            // a faulty run and its golden twin schedule different event
-            // interleavings, and the resilience comparison is only
-            // meaningful if both draw identical per-epoch restart streams.
-            seed_policy: if self.faults.is_some() {
-                SeedPolicy::Sequential {
-                    next: self.seed.wrapping_add(1),
-                }
-            } else {
-                SeedPolicy::FromEventSeq { base: self.seed }
-            },
-            safe_mode: self.faults.is_some(),
-        }));
+        sim.add_process(Box::new(ReallocationTimer::for_scenario(
+            self.reallocation_period_s,
+            self.horizon_s,
+            self.restarts,
+            self.adapt_widths,
+            self.seed,
+            self.faults.is_some(),
+        )));
         if let Some(d) = self.drift {
-            sim.add_process(Box::new(CityDriftProcess {
-                period_s: d.period_s,
-                horizon_s: self.horizon_s,
-                phase_step_rad: d.phase_step_rad,
-            }));
+            sim.add_process(Box::new(d.process(self.horizon_s)));
         }
-        // The fault process registers *last* so the benign event schedule
-        // (and every pre-existing golden fingerprint) is untouched when it
-        // is absent.
         if let Some(plan) = self.faults {
             sim.add_process(Box::new(CityFaultProcess::new(plan, self.horizon_s)));
         }
-        let stats = sim.run(self.horizon_s);
-        let resilience = self
-            .faults
-            .map(|_| ResilienceReport::from_telemetry(&sim.telemetry));
-        CityReport {
-            stats,
-            telemetry: sim.telemetry.snapshot(),
-            log: sim.event_log().cloned(),
-            realloc: std::mem::take(&mut sim.world.realloc_log),
-            final_state: sim.world.state.clone(),
-            resilience,
-        }
+        CompositeReport::run(sim, self.horizon_s, self.faults.is_some())
     }
 
-    /// Runs the scenario twice — once with its fault plan, once with the
-    /// plan's fault-free twin — and returns the faulty report with its
-    /// [`ResilienceReport`] golden-comparison fields filled in
-    /// (`golden_mean_bps`, `throughput_retained`).
-    pub fn run_resilience(&self, ctl: &AcornController) -> CityReport {
-        let plan = self.faults.unwrap_or_default();
-        let mut faulty = self.clone();
-        faulty.faults = Some(plan);
-        let mut report = faulty.run(ctl);
-        let mut golden = self.clone();
-        golden.faults = Some(plan.benign_twin());
-        let golden_report = golden.run(ctl);
-        if let (Some(r), Some(g)) = (report.resilience.as_mut(), golden_report.resilience) {
-            r.golden_mean_bps = g.faulty_mean_bps;
-            r.throughput_retained = if g.faulty_mean_bps > 0.0 {
-                r.faulty_mean_bps / g.faulty_mean_bps
-            } else {
-                0.0
-            };
-        }
-        report
+    /// Runs the scenario with its fault plan and with the plan's
+    /// fault-free twin ([`resilience_twin`]) and returns the faulty
+    /// report with its golden-comparison fields filled in.
+    pub fn run_resilience(&self, ctl: &AcornController) -> CompositeReport {
+        resilience_twin(
+            self.faults.unwrap_or_default(),
+            |plan| {
+                let faulty = CityScenario {
+                    faults: Some(plan),
+                    ..self.clone()
+                };
+                faulty.run(ctl)
+            },
+            |r| &mut r.resilience,
+        )
     }
 }
 
@@ -841,15 +606,21 @@ mod tests {
         let w = wlan();
         let ctl = AcornController::new(AcornConfig::default());
         let mut world = CityWorld::new(w, ctl, 120.0, 1);
-        // Empty association: snapshot must equal the AP-only graph.
+        // Empty association: snapshot must equal the AP-only graph —
+        // so the static edges are exactly the neighbours safe mode reads
+        // from `ap_only_interference_graph` in either world.
         assert_eq!(
             world.graph_snapshot(),
             world.wlan.interference_graph(&world.state.assoc)
         );
+        assert_eq!(
+            world.graph_snapshot(),
+            world.wlan.ap_only_interference_graph()
+        );
         // Associate everyone, then the graph must still match exactly.
         let sink = RecordingSink::new();
         for c in 0..world.wlan.clients.len() {
-            world.associate_obs(c, &sink);
+            world.arrive(c, &sink);
         }
         assert_eq!(
             world.graph_snapshot(),
@@ -857,7 +628,7 @@ mod tests {
         );
         // Unwinding departures restores the AP-only graph.
         for c in 0..world.wlan.clients.len() {
-            world.deassociate(c);
+            world.depart(c);
         }
         assert_eq!(
             world.graph_snapshot(),
@@ -914,7 +685,7 @@ mod tests {
         let mut world = CityWorld::new(w, ctl, 120.0, 3);
         let sink = RecordingSink::new();
         for c in 0..6 {
-            world.associate_obs(c, &sink);
+            world.arrive(c, &sink);
         }
         // Clients 0,1,4 sit near district 0 (APs 0–1); 2,3,5 near
         // district 1 (APs 2–3).

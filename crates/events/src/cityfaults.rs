@@ -26,28 +26,29 @@
 //!   its session departs (counted in `faults.rescan_failures`); retrying
 //!   would risk resurrecting departed clients.
 //!
+//! What is not local is shared: the AP crash/restart schedule, its
+//! telemetry and the fault histograms come from the `CrashClock` in
+//! [`faults`](crate::faults), written once for both worlds. The
+//! control round stays separate because the draw order differs: the
+//! city measures cell-major (AP by AP, each cell's clients in
+//! association order) into the cached SNRs, the composite client-major
+//! into its trackers, and the goldens pin both.
+//!
 //! Determinism: every draw derives from [`mix_seed`](crate::sim::mix_seed)
 //! keyed on the firing event's sequence number plus a stream salt (the
 //! same derivation as the composite layer), and all handlers are
 //! sequential — bit-identical at any `ACORN_THREADS`.
 
-use crate::acorn::AcornEvent;
+use crate::acorn::{AcornEvent, World};
 use crate::city::CityWorld;
-use crate::faults::{FaultPlan, FaultRng, FAULT_GAUNTLET};
+use crate::faults::{
+    bssid, CrashClock, FaultPlan, FaultRng, InFlight, FAULT_GAUNTLET, SALT_BEACON, SALT_MEAS,
+};
 use crate::sim::{Ctx, Process};
-use crate::telemetry::Histogram;
 use acorn_core::{parse_beacon, serialize_beacon, Beacon};
 use acorn_obs::RecordingSink;
 use acorn_phy::ChannelWidth;
 use acorn_topology::{ApId, ClientId};
-use std::collections::HashMap;
-
-/// Stream salts (matching the composite fault layer's discipline; crash
-/// and measurement streams share the composite's constants so plans
-/// transplant between scenario classes without re-tuning).
-const SALT_CRASH: u64 = 0x01;
-const SALT_MEAS: u64 = 0x02;
-const SALT_BEACON: u64 = 0x03;
 
 /// A beacon copy in flight (delayed by the fault layer).
 struct DelayedBeacon {
@@ -69,10 +70,8 @@ pub struct CityFaultProcess {
     /// The AP each client's liveness clock is bound to; rebinding (any
     /// association change) resets the clock.
     heard_ap: Vec<Option<u32>>,
-    pending: HashMap<u32, DelayedBeacon>,
-    next_msg_id: u32,
-    crash_count: usize,
-    down_since: Vec<Option<f64>>,
+    in_flight: InFlight<DelayedBeacon>,
+    clock: CrashClock,
 }
 
 impl CityFaultProcess {
@@ -84,72 +83,9 @@ impl CityFaultProcess {
             round: 0,
             last_heard_round: Vec::new(),
             heard_ap: Vec::new(),
-            pending: HashMap::new(),
-            next_msg_id: 0,
-            crash_count: 0,
-            down_since: Vec::new(),
+            in_flight: InFlight::new(),
+            clock: CrashClock::new(),
         }
-    }
-
-    fn bssid(ap: usize) -> [u8; 6] {
-        let b = ap as u64;
-        [
-            0x02,
-            (b >> 32) as u8,
-            (b >> 24) as u8,
-            (b >> 16) as u8,
-            (b >> 8) as u8,
-            b as u8,
-        ]
-    }
-
-    fn schedule_next_crash(&mut self, ctx: &mut Ctx<'_, CityWorld, AcornEvent>, from_s: f64) {
-        let Some(mttf) = self.plan.ap_mttf_s else {
-            return;
-        };
-        if self.crash_count >= self.plan.max_crashes {
-            return;
-        }
-        let n_aps = ctx.world.wlan.aps.len();
-        if n_aps == 0 {
-            return;
-        }
-        let mut rng = FaultRng::new(self.plan.seed, ctx.event_seq(), SALT_CRASH);
-        let t = from_s - mttf * rng.u01_open().ln();
-        let ap = (rng.next_u64() % n_aps as u64) as usize;
-        if t < self.horizon_s {
-            ctx.schedule_at(t, AcornEvent::ApCrash(ap));
-        }
-    }
-
-    fn handle_crash(&mut self, ctx: &mut Ctx<'_, CityWorld, AcornEvent>, ap: usize) {
-        if !ctx.world.ap_up[ap] {
-            return; // already down
-        }
-        self.crash_count += 1;
-        ctx.world.ap_up[ap] = false;
-        self.down_since[ap] = Some(ctx.now());
-        ctx.telemetry.inc("faults.crashes");
-        ctx.telemetry
-            .set_gauge("faults.aps_down", ctx.world.down_count() as f64);
-        let restart_at = ctx.now() + self.plan.ap_mttr_s;
-        if restart_at < self.horizon_s {
-            ctx.schedule_at(restart_at, AcornEvent::ApRestart(ap));
-        }
-    }
-
-    fn handle_restart(&mut self, ctx: &mut Ctx<'_, CityWorld, AcornEvent>, ap: usize) {
-        if ctx.world.ap_up[ap] {
-            return;
-        }
-        ctx.world.ap_up[ap] = true;
-        if let Some(t0) = self.down_since[ap].take() {
-            ctx.telemetry.observe("faults.downtime_s", ctx.now() - t0);
-        }
-        ctx.telemetry.inc("faults.restarts");
-        ctx.telemetry
-            .set_gauge("faults.aps_down", ctx.world.down_count() as f64);
-        self.schedule_next_crash(ctx, ctx.now());
     }
 
     /// Delivers one beacon copy: only a frame the real parser decodes
@@ -167,13 +103,13 @@ impl CityFaultProcess {
     }
 
     /// Deassociates `client` from its (presumed-dead) AP and re-scans
-    /// through the spatial index; dead APs are filtered inside
-    /// [`CityWorld::associate_obs`].
+    /// through the spatial index; [`World::arrive`] never offers a dead
+    /// AP.
     fn rescan(&mut self, ctx: &mut Ctx<'_, CityWorld, AcornEvent>, client: usize) {
         let w = &mut *ctx.world;
-        w.deassociate(client);
+        w.depart(client);
         let sink = RecordingSink::new();
-        let found = w.associate_obs(client, &sink).is_some();
+        let found = w.arrive(client, &sink).is_some();
         sink.drain_into(ctx.telemetry);
         self.heard_ap[client] = ctx.world.state.assoc[client].map(|a| a.0 as u32);
         self.last_heard_round[client] = self.round;
@@ -219,18 +155,7 @@ impl CityFaultProcess {
                     .world
                     .wlan
                     .snr_db(ApId(ap), ClientId(c), ChannelWidth::Ht20);
-                let reported = if self.plan.meas_nan > 0.0 && meas_rng.u01() < self.plan.meas_nan {
-                    f64::NAN
-                } else if self.plan.meas_outlier > 0.0 && meas_rng.u01() < self.plan.meas_outlier {
-                    let sign = if meas_rng.next_u64() & 1 == 0 {
-                        1.0
-                    } else {
-                        -1.0
-                    };
-                    true_snr + sign * self.plan.outlier_db
-                } else {
-                    true_snr
-                };
+                let reported = self.plan.corrupt_reading(&mut meas_rng, true_snr);
                 if !reported.is_finite() {
                     ctx.telemetry.inc("faults.measurement_faults");
                     continue;
@@ -273,7 +198,7 @@ impl CityFaultProcess {
                 client_delays_s: delays,
                 access_share: w.access_share_up(ap),
             };
-            let Ok(frame) = serialize_beacon(&beacon, Self::bssid(ap), self.round) else {
+            let Ok(frame) = serialize_beacon(&beacon, bssid(ap), self.round) else {
                 continue; // cell too large for one IE: skip this round
             };
             for c in clients {
@@ -282,19 +207,15 @@ impl CityFaultProcess {
                     .roll_copy(ctx.telemetry, &mut beacon_rng, &frame, &FAULT_GAUNTLET)
                 {
                     None => {}
-                    Some((f, Some(dt))) => {
-                        let id = self.next_msg_id;
-                        self.next_msg_id = self.next_msg_id.wrapping_add(1);
-                        self.pending.insert(
-                            id,
-                            DelayedBeacon {
-                                frame: f,
-                                ap,
-                                client: c,
-                            },
-                        );
-                        ctx.schedule_after(dt, AcornEvent::DeliverMsg(id));
-                    }
+                    Some((f, Some(dt))) => self.in_flight.send(
+                        ctx,
+                        dt,
+                        DelayedBeacon {
+                            frame: f,
+                            ap,
+                            client: c,
+                        },
+                    ),
                     Some((f, None)) => self.deliver_beacon(ctx.telemetry, &f, c),
                 }
             }
@@ -329,32 +250,21 @@ impl CityFaultProcess {
 
 impl Process<CityWorld, AcornEvent> for CityFaultProcess {
     fn start(&mut self, ctx: &mut Ctx<'_, CityWorld, AcornEvent>) {
-        let n_aps = ctx.world.wlan.aps.len();
         let n_clients = ctx.world.wlan.clients.len();
         self.last_heard_round = vec![0; n_clients];
         self.heard_ap = vec![None; n_clients];
-        self.down_since = vec![None; n_aps];
-        ctx.telemetry.register_histogram(
-            "faults.detection_delay_s",
-            Histogram::linear(0.0, 600.0, 60).expect("static histogram bounds"),
-        );
-        ctx.telemetry.register_histogram(
-            "faults.downtime_s",
-            Histogram::linear(0.0, 1200.0, 60).expect("static histogram bounds"),
-        );
-        if self.plan.control_period_s < self.horizon_s {
-            ctx.schedule_at(self.plan.control_period_s, AcornEvent::ControlRound);
-        }
-        self.schedule_next_crash(ctx, 0.0);
+        self.clock.start(&self.plan, self.horizon_s, ctx);
     }
 
     fn handle(&mut self, event: &AcornEvent, ctx: &mut Ctx<'_, CityWorld, AcornEvent>) {
         match *event {
             AcornEvent::ControlRound => self.control_round(ctx),
-            AcornEvent::ApCrash(ap) => self.handle_crash(ctx, ap),
-            AcornEvent::ApRestart(ap) => self.handle_restart(ctx, ap),
+            AcornEvent::ApCrash(ap) => {
+                self.clock.crash(&self.plan, self.horizon_s, ctx, ap);
+            }
+            AcornEvent::ApRestart(ap) => self.clock.restart(&self.plan, self.horizon_s, ctx, ap),
             AcornEvent::DeliverMsg(id) => {
-                if let Some(d) = self.pending.remove(&id) {
+                if let Some(d) = self.in_flight.take(id) {
                     // Late beacons still prove liveness — if the client
                     // is still bound to the sender.
                     if ctx.world.state.assoc[d.client] == Some(ApId(d.ap)) {

@@ -21,8 +21,19 @@
 //! event's sequence number plus a stream salt, so a scenario is
 //! bit-identical at any `ACORN_THREADS` — the same contract as the rest
 //! of the runtime.
+//!
+//! Shared with the city fault layer
+//! ([`CityFaultProcess`](crate::CityFaultProcess)): the `CrashClock`
+//! (crash/restart schedule, its telemetry, the fault histograms, the
+//! first control round and crash), the BSSID scheme, the measurement and
+//! beacon stream salts, the sensor-fault draw, the message gauntlet and
+//! its store of delayed copies (`InFlight`), and the golden-twin runner
+//! [`resilience_twin`] every scenario's `run_resilience` calls. The
+//! control rounds stay per world: this one draws measurements
+//! client-major into [`ClientTracker`]s and runs IAPP/CSA, the city's
+//! draws cell-major into cached SNRs.
 
-use crate::acorn::{AcornEvent, AcornWorld};
+use crate::acorn::{AcornEvent, AcornWorld, World};
 use crate::sim::{mix_seed, Ctx, Process};
 use crate::telemetry::{Histogram, Telemetry};
 use acorn_core::csa::CsaAction;
@@ -38,10 +49,12 @@ use serde::Serialize;
 use std::collections::HashMap;
 
 /// Stream salts: each fault decision draws from its own independent
-/// splitmix64 stream keyed `(plan.seed, event_seq, salt, counter)`.
+/// splitmix64 stream keyed `(plan.seed, event_seq, salt, counter)`. The
+/// city fault layer shares the crash, measurement and beacon streams, so
+/// plans transplant between scenario classes without re-tuning.
 const SALT_CRASH: u64 = 0x01;
-const SALT_MEAS: u64 = 0x02;
-const SALT_BEACON: u64 = 0x03;
+pub(crate) const SALT_MEAS: u64 = 0x02;
+pub(crate) const SALT_BEACON: u64 = 0x03;
 const SALT_IAPP: u64 = 0x04;
 
 /// What faults to inject, and how hard. `Default` is fully benign (no
@@ -134,6 +147,21 @@ impl FaultPlan {
             && self.meas_freeze == 0.0
     }
 
+    /// One fresh SNR reading through the sensor faults: NaN, a
+    /// ±`outlier_db` spike, or `true_snr`. Both fault layers draw the
+    /// stuck-sensor roll first (skipping frozen samples), then call this
+    /// — the same per-sample draw order over their own client orders.
+    pub(crate) fn corrupt_reading(&self, rng: &mut FaultRng, true_snr: f64) -> f64 {
+        if self.meas_nan > 0.0 && rng.u01() < self.meas_nan {
+            f64::NAN
+        } else if self.meas_outlier > 0.0 && rng.u01() < self.meas_outlier {
+            let sign = if rng.next_u64() & 1 == 0 { 1.0 } else { -1.0 };
+            true_snr + sign * self.outlier_db
+        } else {
+            true_snr
+        }
+    }
+
     /// Rolls the per-copy message-fault gauntlet. Returns `None` if the
     /// copy is lost, `Some((frame, Some(dt)))` if it is delayed by `dt`,
     /// and `Some((frame, None))` for immediate delivery. Corruption
@@ -204,8 +232,7 @@ pub struct ResilienceReport {
     /// Mean of the per-round network throughput series (bits/s).
     pub faulty_mean_bps: f64,
     /// Same mean for the fault-free golden twin (bits/s); 0 until
-    /// [`CompositeScenario::run_resilience`](crate::acorn::CompositeScenario::run_resilience)
-    /// fills it in.
+    /// [`resilience_twin`] (behind every `run_resilience`) fills it in.
     pub golden_mean_bps: f64,
     /// `faulty_mean_bps / golden_mean_bps` (0 until the golden twin ran).
     pub throughput_retained: f64,
@@ -243,6 +270,30 @@ impl ResilienceReport {
             throughput_retained: 0.0,
         }
     }
+}
+
+/// Runs a scenario twice — `run` with `plan`, then with its fault-free
+/// [`benign_twin`](FaultPlan::benign_twin) — and returns the faulty
+/// run's report with its [`ResilienceReport`] golden-comparison fields
+/// (`golden_mean_bps`, `throughput_retained`) filled in from the twin's.
+/// `resilience` selects a report's resilience slot. Every scenario
+/// runner's `run_resilience` is this call.
+pub fn resilience_twin<R>(
+    plan: FaultPlan,
+    mut run: impl FnMut(FaultPlan) -> R,
+    resilience: impl Fn(&mut R) -> &mut Option<ResilienceReport>,
+) -> R {
+    let mut report = run(plan);
+    let mut golden = run(plan.benign_twin());
+    if let (Some(r), Some(g)) = (resilience(&mut report).as_mut(), *resilience(&mut golden)) {
+        r.golden_mean_bps = g.faulty_mean_bps;
+        r.throughput_retained = if g.faulty_mean_bps > 0.0 {
+            r.faulty_mean_bps / g.faulty_mean_bps
+        } else {
+            0.0
+        };
+    }
+    report
 }
 
 /// One independent fault stream: successive draws are
@@ -322,6 +373,161 @@ pub const FAULT_GAUNTLET: GauntletCounters = GauntletCounters {
     delayed: "faults.frames_delayed",
 };
 
+/// The locally administered BSSID an AP's control frames carry.
+pub(crate) fn bssid(ap: usize) -> [u8; 6] {
+    let b = ap as u64;
+    [
+        0x02, // locally administered
+        (b >> 32) as u8,
+        (b >> 24) as u8,
+        (b >> 16) as u8,
+        (b >> 8) as u8,
+        b as u8,
+    ]
+}
+
+/// The AP crash/restart clock both fault layers own: exponential
+/// inter-failure times (MTTF) over a uniformly drawn AP, a fixed repair
+/// time (MTTR), at most `max_crashes` crashes, and the `faults.crashes` /
+/// `faults.restarts` / `faults.aps_down` / `faults.downtime_s` telemetry.
+/// The next crash is drawn when the previous AP restarts.
+pub(crate) struct CrashClock {
+    crash_count: usize,
+    down_since: Vec<Option<f64>>,
+}
+
+impl CrashClock {
+    pub(crate) fn new() -> CrashClock {
+        CrashClock {
+            crash_count: 0,
+            down_since: Vec::new(),
+        }
+    }
+
+    /// Registers the fault histograms and schedules the first control
+    /// round and the first crash.
+    pub(crate) fn start<W: World>(
+        &mut self,
+        plan: &FaultPlan,
+        horizon_s: f64,
+        ctx: &mut Ctx<'_, W, AcornEvent>,
+    ) {
+        self.down_since = vec![None; ctx.world.ap_up().len()];
+        ctx.telemetry.register_histogram(
+            "faults.detection_delay_s",
+            Histogram::linear(0.0, 600.0, 60).expect("static histogram bounds"),
+        );
+        ctx.telemetry.register_histogram(
+            "faults.downtime_s",
+            Histogram::linear(0.0, 1200.0, 60).expect("static histogram bounds"),
+        );
+        if plan.control_period_s < horizon_s {
+            ctx.schedule_at(plan.control_period_s, AcornEvent::ControlRound);
+        }
+        self.schedule_next(plan, horizon_s, ctx, 0.0);
+    }
+
+    fn schedule_next<W: World>(
+        &mut self,
+        plan: &FaultPlan,
+        horizon_s: f64,
+        ctx: &mut Ctx<'_, W, AcornEvent>,
+        from_s: f64,
+    ) {
+        let Some(mttf) = plan.ap_mttf_s else {
+            return;
+        };
+        if self.crash_count >= plan.max_crashes {
+            return;
+        }
+        let n_aps = ctx.world.ap_up().len();
+        if n_aps == 0 {
+            return;
+        }
+        let mut rng = FaultRng::new(plan.seed, ctx.event_seq(), SALT_CRASH);
+        let t = from_s - mttf * rng.u01_open().ln();
+        let ap = (rng.next_u64() % n_aps as u64) as usize;
+        if t < horizon_s {
+            ctx.schedule_at(t, AcornEvent::ApCrash(ap));
+        }
+    }
+
+    /// Takes `ap` down and schedules its restart; `false` (and nothing
+    /// happens) if it was already down.
+    pub(crate) fn crash<W: World>(
+        &mut self,
+        plan: &FaultPlan,
+        horizon_s: f64,
+        ctx: &mut Ctx<'_, W, AcornEvent>,
+        ap: usize,
+    ) -> bool {
+        if !ctx.world.ap_up()[ap] {
+            return false;
+        }
+        self.crash_count += 1;
+        ctx.world.shared().ap_up[ap] = false;
+        self.down_since[ap] = Some(ctx.now());
+        ctx.telemetry.inc("faults.crashes");
+        ctx.telemetry
+            .set_gauge("faults.aps_down", ctx.world.down_count() as f64);
+        let restart_at = ctx.now() + plan.ap_mttr_s;
+        if restart_at < horizon_s {
+            ctx.schedule_at(restart_at, AcornEvent::ApRestart(ap));
+        }
+        true
+    }
+
+    /// Brings `ap` back up and draws the next crash.
+    pub(crate) fn restart<W: World>(
+        &mut self,
+        plan: &FaultPlan,
+        horizon_s: f64,
+        ctx: &mut Ctx<'_, W, AcornEvent>,
+        ap: usize,
+    ) {
+        if ctx.world.ap_up()[ap] {
+            return;
+        }
+        ctx.world.shared().ap_up[ap] = true;
+        if let Some(t0) = self.down_since[ap].take() {
+            ctx.telemetry.observe("faults.downtime_s", ctx.now() - t0);
+        }
+        ctx.telemetry.inc("faults.restarts");
+        ctx.telemetry
+            .set_gauge("faults.aps_down", ctx.world.down_count() as f64);
+        self.schedule_next(plan, horizon_s, ctx, ctx.now());
+    }
+}
+
+/// The frame copies the gauntlet delayed, keyed by the id their
+/// [`AcornEvent::DeliverMsg`] carries. Both fault layers own one.
+pub(crate) struct InFlight<T> {
+    pending: HashMap<u32, T>,
+    next_id: u32,
+}
+
+impl<T> InFlight<T> {
+    pub(crate) fn new() -> InFlight<T> {
+        InFlight {
+            pending: HashMap::new(),
+            next_id: 0,
+        }
+    }
+
+    /// Holds `copy` and schedules its delivery `dt` from now.
+    pub(crate) fn send<W>(&mut self, ctx: &mut Ctx<'_, W, AcornEvent>, dt: f64, copy: T) {
+        let id = self.next_id;
+        self.next_id = self.next_id.wrapping_add(1);
+        self.pending.insert(id, copy);
+        ctx.schedule_after(dt, AcornEvent::DeliverMsg(id));
+    }
+
+    /// The copy `DeliverMsg(id)` delivers.
+    pub(crate) fn take(&mut self, id: u32) -> Option<T> {
+        self.pending.remove(&id)
+    }
+}
+
 /// A frame copy in flight (delayed by the fault layer).
 enum Delivery {
     /// A beacon copy addressed to one client of `ap`.
@@ -354,10 +560,8 @@ pub struct FaultProcess {
     tracker_ap: Vec<Option<ApId>>,
     last_heard_round: Vec<u64>,
     last_assignments: Vec<ChannelAssignment>,
-    pending: HashMap<u32, Delivery>,
-    next_msg_id: u32,
-    crash_count: usize,
-    down_since: Vec<Option<f64>>,
+    in_flight: InFlight<Delivery>,
+    clock: CrashClock,
 }
 
 impl FaultProcess {
@@ -374,45 +578,9 @@ impl FaultProcess {
             tracker_ap: Vec::new(),
             last_heard_round: Vec::new(),
             last_assignments: Vec::new(),
-            pending: HashMap::new(),
-            next_msg_id: 0,
-            crash_count: 0,
-            down_since: Vec::new(),
+            in_flight: InFlight::new(),
+            clock: CrashClock::new(),
         }
-    }
-
-    fn bssid(ap: usize) -> [u8; 6] {
-        let b = ap as u64;
-        [
-            0x02, // locally administered
-            (b >> 32) as u8,
-            (b >> 24) as u8,
-            (b >> 16) as u8,
-            (b >> 8) as u8,
-            b as u8,
-        ]
-    }
-
-    /// The per-copy gauntlet under the historical `faults.*` names.
-    fn roll_copy(
-        &self,
-        tel: &mut Telemetry,
-        rng: &mut FaultRng,
-        frame: &[u8],
-    ) -> Option<(Vec<u8>, Option<f64>)> {
-        self.plan.roll_copy(tel, rng, frame, &FAULT_GAUNTLET)
-    }
-
-    fn queue_delayed(
-        &mut self,
-        ctx: &mut Ctx<'_, AcornWorld, AcornEvent>,
-        dt: f64,
-        delivery: Delivery,
-    ) {
-        let id = self.next_msg_id;
-        self.next_msg_id = self.next_msg_id.wrapping_add(1);
-        self.pending.insert(id, delivery);
-        ctx.schedule_after(dt, AcornEvent::DeliverMsg(id));
     }
 
     /// Delivers one beacon copy to a client: the frame goes through the
@@ -421,7 +589,6 @@ impl FaultProcess {
         &mut self,
         tel: &mut Telemetry,
         frame: &[u8],
-        ap: usize,
         client: usize,
         announce: Option<(ChannelAssignment, u8)>,
     ) {
@@ -432,7 +599,6 @@ impl FaultProcess {
                 if let Some((to, remaining)) = announce {
                     self.client_csa[client].on_announcement(to, remaining, self.round);
                 }
-                let _ = ap;
             }
             Err(_) => tel.inc("faults.parse_errors"),
         }
@@ -457,12 +623,8 @@ impl FaultProcess {
     fn rescan(&mut self, ctx: &mut Ctx<'_, AcornWorld, AcornEvent>, client: usize) {
         let w = &mut *ctx.world;
         w.state.assoc[client] = None;
-        let mut candidates = w.ctl.candidates_for(&w.wlan, &w.state, ClientId(client));
-        candidates.retain(|c| w.ap_up[c.ap.0]);
         let sink = RecordingSink::new();
-        if let Some(i) = acorn_core::choose_ap_obs(&candidates, &sink) {
-            w.state.assoc[client] = Some(candidates[i].ap);
-        }
+        w.arrive(client, &sink);
         sink.drain_into(ctx.telemetry);
         self.client_csa[client] = ClientCsa::default();
         self.trackers[client] = None;
@@ -471,57 +633,13 @@ impl FaultProcess {
         ctx.telemetry.inc("faults.rescans");
     }
 
-    fn schedule_next_crash(&mut self, ctx: &mut Ctx<'_, AcornWorld, AcornEvent>, from_s: f64) {
-        let Some(mttf) = self.plan.ap_mttf_s else {
-            return;
-        };
-        if self.crash_count >= self.plan.max_crashes {
-            return;
-        }
-        let n_aps = ctx.world.wlan.aps.len();
-        if n_aps == 0 {
-            return;
-        }
-        let mut rng = FaultRng::new(self.plan.seed, ctx.event_seq(), SALT_CRASH);
-        let t = from_s - mttf * rng.u01_open().ln();
-        let ap = (rng.next_u64() % n_aps as u64) as usize;
-        if t < self.horizon_s {
-            ctx.schedule_at(t, AcornEvent::ApCrash(ap));
-        }
-    }
-
     fn handle_crash(&mut self, ctx: &mut Ctx<'_, AcornWorld, AcornEvent>, ap: usize) {
-        if !ctx.world.ap_up[ap] {
-            return; // already down
+        if self.clock.crash(&self.plan, self.horizon_s, ctx, ap) {
+            // The dead AP forgets its own control-plane state: a
+            // restarted AP comes back cold.
+            self.ap_csa[ap] = ApCsa::default();
+            self.agents[ap] = self.fresh_agent(ap);
         }
-        self.crash_count += 1;
-        ctx.world.ap_up[ap] = false;
-        self.down_since[ap] = Some(ctx.now());
-        // The dead AP forgets its own control-plane state: a restarted AP
-        // comes back cold.
-        self.ap_csa[ap] = ApCsa::default();
-        self.agents[ap] = self.fresh_agent(ap);
-        ctx.telemetry.inc("faults.crashes");
-        ctx.telemetry
-            .set_gauge("faults.aps_down", ctx.world.down_count() as f64);
-        let restart_at = ctx.now() + self.plan.ap_mttr_s;
-        if restart_at < self.horizon_s {
-            ctx.schedule_at(restart_at, AcornEvent::ApRestart(ap));
-        }
-    }
-
-    fn handle_restart(&mut self, ctx: &mut Ctx<'_, AcornWorld, AcornEvent>, ap: usize) {
-        if ctx.world.ap_up[ap] {
-            return;
-        }
-        ctx.world.ap_up[ap] = true;
-        if let Some(t0) = self.down_since[ap].take() {
-            ctx.telemetry.observe("faults.downtime_s", ctx.now() - t0);
-        }
-        ctx.telemetry.inc("faults.restarts");
-        ctx.telemetry
-            .set_gauge("faults.aps_down", ctx.world.down_count() as f64);
-        self.schedule_next_crash(ctx, ctx.now());
     }
 
     fn fresh_agent(&self, ap: usize) -> IappAgent {
@@ -600,18 +718,7 @@ impl FaultProcess {
                 continue; // stuck sensor: no fresh sample, staleness grows
             }
             let true_snr = ctx.world.wlan.snr_db(ap, ClientId(c), ChannelWidth::Ht20);
-            let reported = if self.plan.meas_nan > 0.0 && meas_rng.u01() < self.plan.meas_nan {
-                f64::NAN
-            } else if self.plan.meas_outlier > 0.0 && meas_rng.u01() < self.plan.meas_outlier {
-                let sign = if meas_rng.next_u64() & 1 == 0 {
-                    1.0
-                } else {
-                    -1.0
-                };
-                true_snr + sign * self.plan.outlier_db
-            } else {
-                true_snr
-            };
+            let reported = self.plan.corrupt_reading(&mut meas_rng, true_snr);
             let tracker = self.trackers[c].get_or_insert_with(|| {
                 ClientTracker::new(TrackerConfig::default(), now)
                     .unwrap_or_else(|_| unreachable!("default tracker config is valid"))
@@ -654,13 +761,16 @@ impl FaultProcess {
                 access_share: self.agents[ap]
                     .access_share(ctx.world.state.effective_assignment(ApId(ap))),
             };
-            let Ok(frame) = serialize_beacon(&beacon, Self::bssid(ap), self.round) else {
+            let Ok(frame) = serialize_beacon(&beacon, bssid(ap), self.round) else {
                 continue; // cell too large for one IE: skip this round
             };
             for c in clients {
-                match self.roll_copy(ctx.telemetry, &mut beacon_rng, &frame) {
+                match self
+                    .plan
+                    .roll_copy(ctx.telemetry, &mut beacon_rng, &frame, &FAULT_GAUNTLET)
+                {
                     None => {}
-                    Some((f, Some(dt))) => self.queue_delayed(
+                    Some((f, Some(dt))) => self.in_flight.send(
                         ctx,
                         dt,
                         Delivery::Beacon {
@@ -670,7 +780,7 @@ impl FaultProcess {
                         },
                     ),
                     Some((f, None)) => {
-                        self.deliver_beacon(ctx.telemetry, &f, ap, c.0, round_announce[ap])
+                        self.deliver_beacon(ctx.telemetry, &f, c.0, round_announce[ap])
                     }
                 }
             }
@@ -687,7 +797,7 @@ impl FaultProcess {
             let eff = ctx.world.state.effective_assignment(ApId(ap));
             let n_cl = ctx.world.state.cell_clients(ApId(ap)).len();
             let ann = self.agents[ap].announce(eff, n_cl, now);
-            let frame = serialize_announcement(&ann, Self::bssid(ap));
+            let frame = serialize_announcement(&ann, bssid(ap));
             for to in 0..n_aps {
                 if to == ap || !ctx.world.ap_up[to] {
                     continue;
@@ -696,9 +806,12 @@ impl FaultProcess {
                 if rx < decode_floor_dbm {
                     continue;
                 }
-                match self.roll_copy(ctx.telemetry, &mut iapp_rng, &frame) {
+                match self
+                    .plan
+                    .roll_copy(ctx.telemetry, &mut iapp_rng, &frame, &FAULT_GAUNTLET)
+                {
                     None => {}
-                    Some((f, Some(dt))) => self.queue_delayed(
+                    Some((f, Some(dt))) => self.in_flight.send(
                         ctx,
                         dt,
                         Delivery::Iapp {
@@ -730,11 +843,14 @@ impl FaultProcess {
                 let eff = ctx.world.state.effective_assignment(target);
                 let n_cl = ctx.world.state.cell_clients(target).len();
                 let reply = self.agents[target.0].announce(eff, n_cl, now);
-                let frame = serialize_announcement(&reply, Self::bssid(target.0));
+                let frame = serialize_announcement(&reply, bssid(target.0));
                 let rx = ctx.world.wlan.ap_to_ap_rx_dbm(target, ApId(ap));
-                match self.roll_copy(ctx.telemetry, &mut iapp_rng, &frame) {
+                match self
+                    .plan
+                    .roll_copy(ctx.telemetry, &mut iapp_rng, &frame, &FAULT_GAUNTLET)
+                {
                     None => {}
-                    Some((f, Some(dt))) => self.queue_delayed(
+                    Some((f, Some(dt))) => self.in_flight.send(
                         ctx,
                         dt,
                         Delivery::Iapp {
@@ -798,34 +914,22 @@ impl Process<AcornWorld, AcornEvent> for FaultProcess {
         self.tracker_ap = vec![None; n_clients];
         self.last_heard_round = vec![0; n_clients];
         self.last_assignments = ctx.world.state.assignments.clone();
-        self.down_since = vec![None; n_aps];
-        ctx.telemetry.register_histogram(
-            "faults.detection_delay_s",
-            Histogram::linear(0.0, 600.0, 60).expect("static histogram bounds"),
-        );
-        ctx.telemetry.register_histogram(
-            "faults.downtime_s",
-            Histogram::linear(0.0, 1200.0, 60).expect("static histogram bounds"),
-        );
-        if self.plan.control_period_s < self.horizon_s {
-            ctx.schedule_at(self.plan.control_period_s, AcornEvent::ControlRound);
-        }
-        self.schedule_next_crash(ctx, 0.0);
+        self.clock.start(&self.plan, self.horizon_s, ctx);
     }
 
     fn handle(&mut self, event: &AcornEvent, ctx: &mut Ctx<'_, AcornWorld, AcornEvent>) {
         match *event {
             AcornEvent::ControlRound => self.control_round(ctx),
             AcornEvent::ApCrash(ap) => self.handle_crash(ctx, ap),
-            AcornEvent::ApRestart(ap) => self.handle_restart(ctx, ap),
+            AcornEvent::ApRestart(ap) => self.clock.restart(&self.plan, self.horizon_s, ctx, ap),
             AcornEvent::DeliverMsg(id) => {
                 let now = ctx.now();
-                match self.pending.remove(&id) {
+                match self.in_flight.take(id) {
                     Some(Delivery::Beacon { frame, ap, client }) => {
                         // Late beacons still prove liveness but carry no
                         // CSA payload worth trusting.
                         if ctx.world.state.assoc[client] == Some(ApId(ap)) {
-                            self.deliver_beacon(ctx.telemetry, &frame, ap, client, None);
+                            self.deliver_beacon(ctx.telemetry, &frame, client, None);
                         }
                     }
                     Some(Delivery::Iapp { frame, to, rx_dbm }) => {

@@ -23,6 +23,15 @@
 //!    new loop. Here each mechanism is a [`Process`] over a shared
 //!    world, and scenarios are compositions ([`CompositeScenario`]).
 //!
+//! One process library serves both worlds: the session, re-allocation
+//! and drift processes are generic over the [`World`] trait, which the
+//! exact [`AcornWorld`] and the incremental [`CityWorld`] implement with
+//! their own answers to the few calls that differ (association, width
+//! adaptation, the epoch objective, re-optimization, the after-drift
+//! refresh). The two fault layers share one crash/restart clock and one
+//! golden-twin runner ([`resilience_twin`]); only their control rounds
+//! stay per world (see [`faults`]).
+//!
 //! Determinism is the load-bearing property: a run is a pure function of
 //! the world and the processes added to it. Randomized actors derive
 //! per-event seeds from the event's globally unique sequence number
@@ -44,17 +53,15 @@ pub mod telemetry;
 
 pub use acorn::{
     AcornEvent, AcornWorld, CompositeReport, CompositeScenario, DriftProcess, DriftSpec,
-    MobilityProcess, MobilitySpec, ReallocRecord, ReallocationTimer, SeedPolicy, SessionProcess,
+    MobilityProcess, MobilitySpec, Plan, ReallocRecord, ReallocationTimer, SeedPolicy,
+    SessionProcess, Shared, World,
 };
-pub use city::{
-    CityDriftProcess, CityReallocationTimer, CityReport, CityScenario, CitySessionProcess,
-    CityWorld,
-};
+pub use city::{CityReallocationTimer, CityScenario, CityWorld};
 pub use cityfaults::CityFaultProcess;
 pub use dcb::{DcbDriver, DcbEvent, DcbReport, DcbScenario, DcbWorld, OverlappingBssGrid};
 pub use faults::{
-    corrupt_frame, FaultPlan, FaultProcess, FaultRng, GauntletCounters, ResilienceReport,
-    FAULT_GAUNTLET,
+    corrupt_frame, resilience_twin, FaultPlan, FaultProcess, FaultRng, GauntletCounters,
+    ResilienceReport, FAULT_GAUNTLET,
 };
 pub use queue::{EventId, EventQueue, Fired};
 pub use sim::{

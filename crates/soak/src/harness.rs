@@ -6,6 +6,12 @@
 //! Process registration order is fixed (workload, re-allocation, drift,
 //! probe, watchdog, sabotage, faults) — registration order pins the
 //! dispatch order of simultaneous events, which pins every output bit.
+//!
+//! The re-allocation timer (with its "faults ⇒ sequential epoch seeds +
+//! safe mode" derivation), the drift process, the city fault layer and
+//! the golden-twin runner behind [`SoakScenario::run_resilience`] are
+//! the `acorn-events` library's, shared with `CityScenario`; the
+//! workload, probe, watchdog and sabotage processes are the soak's own.
 
 use crate::probe::{SoakProbe, NETWORK_BPS};
 use crate::watchdog::{InvariantWatchdog, SabotageProcess, WatchdogSpec};
@@ -14,9 +20,8 @@ use acorn_core::AcornController;
 use acorn_core::NetworkState;
 use acorn_ctrlplane::{CrashWindow, PartitionWindow};
 use acorn_events::{
-    AcornEvent, CityDriftProcess, CityFaultProcess, CityReallocationTimer, CityWorld, DriftSpec,
-    EventLog, FaultPlan, ReallocRecord, ResilienceReport, RunStats, SeedPolicy, Simulation,
-    TelemetrySnapshot,
+    resilience_twin, AcornEvent, CityFaultProcess, CityWorld, DriftSpec, EventLog, FaultPlan,
+    ReallocRecord, ReallocationTimer, ResilienceReport, RunStats, Simulation, TelemetrySnapshot,
 };
 use acorn_obs::{SeriesEntry, SketchEntry};
 
@@ -97,26 +102,16 @@ impl SoakScenario {
             self.horizon_s,
             self.adapt_widths,
         )));
-        sim.add_process(Box::new(CityReallocationTimer {
-            period_s: self.reallocation_period_s,
-            horizon_s: self.horizon_s,
-            restarts: self.restarts,
-            adapt_widths: self.adapt_widths,
-            seed_policy: if self.faults.is_some() {
-                SeedPolicy::Sequential {
-                    next: self.seed.wrapping_add(1),
-                }
-            } else {
-                SeedPolicy::FromEventSeq { base: self.seed }
-            },
-            safe_mode: self.faults.is_some(),
-        }));
+        sim.add_process(Box::new(ReallocationTimer::for_scenario(
+            self.reallocation_period_s,
+            self.horizon_s,
+            self.restarts,
+            self.adapt_widths,
+            self.seed,
+            self.faults.is_some(),
+        )));
         if let Some(d) = self.drift {
-            sim.add_process(Box::new(CityDriftProcess {
-                period_s: d.period_s,
-                horizon_s: self.horizon_s,
-                phase_step_rad: d.phase_step_rad,
-            }));
+            sim.add_process(Box::new(d.process(self.horizon_s)));
         }
         sim.add_process(Box::new(SoakProbe {
             period_s: self.probe_period_s,
@@ -155,26 +150,21 @@ impl SoakScenario {
         }
     }
 
-    /// Runs the soak twice — with its fault plan and with the plan's
-    /// fault-free twin — and fills the resilience report's golden
-    /// comparison (`golden_mean_bps`, `throughput_retained`).
+    /// Runs the soak with its fault plan and with the plan's fault-free
+    /// twin ([`resilience_twin`]) and fills the resilience report's
+    /// golden comparison (`golden_mean_bps`, `throughput_retained`).
     pub fn run_resilience(&self, ctl: &AcornController) -> SoakReport {
-        let plan = self.faults.unwrap_or_default();
-        let mut faulty = self.clone();
-        faulty.faults = Some(plan);
-        let mut report = faulty.run(ctl);
-        let mut golden = self.clone();
-        golden.faults = Some(plan.benign_twin());
-        let golden_report = golden.run(ctl);
-        if let (Some(r), Some(g)) = (report.resilience.as_mut(), golden_report.resilience) {
-            r.golden_mean_bps = g.faulty_mean_bps;
-            r.throughput_retained = if g.faulty_mean_bps > 0.0 {
-                r.faulty_mean_bps / g.faulty_mean_bps
-            } else {
-                0.0
-            };
-        }
-        report
+        resilience_twin(
+            self.faults.unwrap_or_default(),
+            |plan| {
+                let faulty = SoakScenario {
+                    faults: Some(plan),
+                    ..self.clone()
+                };
+                faulty.run(ctl)
+            },
+            |r| &mut r.resilience,
+        )
     }
 }
 

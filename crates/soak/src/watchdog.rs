@@ -28,7 +28,7 @@
 //! seq)` pin the exact deterministic replay — and, with
 //! [`WatchdogSpec::fail_fast`], stops the simulation.
 
-use acorn_events::{AcornEvent, CityWorld, Ctx, Process};
+use acorn_events::{AcornEvent, CityWorld, Ctx, Process, World};
 use acorn_topology::ApId;
 
 /// Watchdog cadence and strictness.

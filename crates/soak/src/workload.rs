@@ -15,7 +15,7 @@
 //! [`mix_seed`] and consumed inside sequential
 //! event handlers, so runs are bit-identical at any `ACORN_THREADS`.
 
-use acorn_events::{mix_seed, AcornEvent, CityWorld, Ctx, Process};
+use acorn_events::{mix_seed, AcornEvent, CityWorld, Ctx, Process, World};
 use acorn_obs::{Histogram, RecordingSink};
 use acorn_traces::AssociationDurations;
 use rand::rngs::StdRng;
@@ -197,13 +197,13 @@ impl Process<CityWorld, AcornEvent> for WorkloadGen {
                     let c = self.idle.swap_remove(slot.min(self.idle.len() - 1)) as usize;
                     let w = &mut *ctx.world;
                     let sink = RecordingSink::new();
-                    let chosen = w.associate_obs(c, &sink);
+                    let chosen = w.arrive(c, &sink);
                     sink.drain_into(ctx.telemetry);
                     ctx.telemetry.inc("sessions.arrivals");
                     match chosen {
                         Some((ap, delay)) => {
                             if self.adapt_widths {
-                                w.adapt_width_local(ap);
+                                w.adapt_after_cell_change(Some(ap));
                             }
                             ctx.telemetry.observe("association.delay_s", delay);
                             let dur = self.spec.durations.sample(&mut self.rng);
@@ -223,10 +223,9 @@ impl Process<CityWorld, AcornEvent> for WorkloadGen {
             }
             AcornEvent::Depart(c) => {
                 let w = &mut *ctx.world;
-                if let Some(ap) = w.deassociate(c) {
-                    if self.adapt_widths {
-                        w.adapt_width_local(ap);
-                    }
+                let ap = w.depart(c);
+                if self.adapt_widths {
+                    w.adapt_after_cell_change(ap);
                 }
                 self.idle.push(c as u32);
                 ctx.telemetry.inc("sessions.departures");

@@ -15,7 +15,7 @@ use acorn_core::{AcornConfig, AcornController, NetworkState};
 use acorn_ctrlplane::{CrashWindow, DistributedPlane, PlaneConfig};
 use acorn_dcb::PolicyKind;
 use acorn_events::{
-    CityReport, CityScenario, CompositeReport, CompositeScenario, DcbReport, DriftSpec, FaultPlan,
+    CityScenario, CompositeReport, CompositeScenario, DcbReport, DriftSpec, FaultPlan,
     MobilitySpec, OverlappingBssGrid,
 };
 use acorn_obs::{NullSink, RecordingSink};
@@ -279,7 +279,7 @@ fn sharded_and_city_runs_are_identical_across_thread_counts() {
     }
     .generate(&mut rng, 3600.0);
     let wlan = city_grid(districts, aps_side, sessions.len().max(1), 4242);
-    let mut city_runs: Vec<CityReport> = Vec::new();
+    let mut city_runs: Vec<CompositeReport> = Vec::new();
     for threads in thread_counts {
         std::env::set_var("ACORN_THREADS", threads);
         let ctl = AcornController::with_table(AcornConfig::default(), small_table());

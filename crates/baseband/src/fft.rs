@@ -19,27 +19,25 @@
 //! Conventions: [`fft`] is unnormalized (`X_k = Σ x_n e^{−j2πkn/N}`);
 //! [`ifft`] carries the full `1/N` factor, so `ifft(fft(x)) == x`.
 //!
-//! # Split-complex and batched lane kernels
+//! # Batched lane kernel
 //!
-//! Beyond the interleaved [`Cplx`]-slice transforms, the plan exposes
-//! **split-complex** kernels (real and imaginary parts in separate `f64`
-//! arrays, so every butterfly is pure lane arithmetic with contiguous
-//! loads — no AoS shuffles) and, the real hot path of the OFDM pipeline,
-//! **batched** kernels that run [`FFT_BATCH`] same-length transforms in
-//! lockstep. The batched layout is bin-major: element `i` of transform
-//! `l` lives at `re[i * FFT_BATCH + l]`, so each butterfly touches
-//! [`FFT_BATCH`] contiguous `f64` lanes (one full vector register per
-//! operand) and the twiddle factor broadcasts across them — the shape
-//! the autovectorizer turns into pure vertical SIMD with no shuffles at
-//! all. A Monte-Carlo symbol stream transforms hundreds of equal-length
-//! blocks per packet, so the frame pipeline batches its per-symbol
-//! FFT/IFFT work eight symbols at a time.
+//! Beside the interleaved [`Cplx`]-slice transform, the plan exposes one
+//! **batched** kernel, the real hot path of the OFDM pipeline: it runs
+//! [`FFT_BATCH`] same-length transforms in lockstep on split re/im
+//! arrays. The layout is bin-major: element `i` of transform `l` lives at
+//! `re[i * FFT_BATCH + l]`, so each butterfly touches [`FFT_BATCH`]
+//! contiguous `f64` lanes (one full vector register per operand) and the
+//! twiddle factor broadcasts across them — the shape the autovectorizer
+//! turns into pure vertical SIMD with no shuffles at all. A Monte-Carlo
+//! symbol stream transforms hundreds of equal-length blocks per packet,
+//! so the frame pipeline batches its per-symbol FFT/IFFT work eight
+//! symbols at a time.
 //!
-//! Every kernel evaluates the *same f64 operations in the same order*
-//! per transform as the retained interleaved oracle
-//! ([`FftPlan::forward_generic`] / [`FftPlan::inverse_generic`]) — the
-//! batch lanes are mutually independent — so outputs are bit-identical,
-//! pinned by `to_bits` equality tests across all sizes.
+//! The batched kernel evaluates the *same f64 operations in the same
+//! order* per transform as the interleaved loop behind
+//! [`FftPlan::forward`] / [`FftPlan::inverse_raw`] — the batch lanes are
+//! mutually independent — so outputs are bit-identical, pinned by
+//! `to_bits` equality tests across all sizes.
 
 use crate::cplx::Cplx;
 use std::cell::RefCell;
@@ -63,9 +61,9 @@ pub struct FftPlan {
     /// `twiddles[j] = e^{−j2πj/n}` for `j < n/2` — the forward factors;
     /// the inverse transform conjugates on lookup.
     twiddles: Vec<Cplx>,
-    /// Real parts of `twiddles`, split layout for the lane kernels.
+    /// Real parts of `twiddles`, split layout for the batched kernel.
     tw_re: Vec<f64>,
-    /// Imaginary parts of `twiddles`, split layout for the lane kernels.
+    /// Imaginary parts of `twiddles`, split layout for the batched kernel.
     tw_im: Vec<f64>,
 }
 
@@ -131,53 +129,6 @@ impl FftPlan {
     pub fn inverse_raw(&self, buf: &mut [Cplx]) {
         self.check(buf.len());
         self.run(buf, true);
-    }
-
-    /// Forward DFT on split re/im arrays, in place and unnormalized —
-    /// the lane-kernel entry for callers that already hold split data.
-    pub fn forward_split(&self, re: &mut [f64], im: &mut [f64]) {
-        self.check(re.len());
-        self.check(im.len());
-        self.run_split(re, im, false);
-    }
-
-    /// Inverse DFT on split re/im arrays, in place, normalized by `1/N`.
-    pub fn inverse_split(&self, re: &mut [f64], im: &mut [f64]) {
-        self.check(re.len());
-        self.check(im.len());
-        self.run_split(re, im, true);
-        let s = 1.0 / self.n as f64;
-        for r in re.iter_mut() {
-            *r *= s;
-        }
-        for i in im.iter_mut() {
-            *i *= s;
-        }
-    }
-
-    /// Inverse butterflies on split arrays without the `1/N` pass (see
-    /// [`inverse_raw`](FftPlan::inverse_raw)).
-    pub fn inverse_raw_split(&self, re: &mut [f64], im: &mut [f64]) {
-        self.check(re.len());
-        self.check(im.len());
-        self.run_split(re, im, true);
-    }
-
-    /// The interleaved radix-2 forward transform under its stable oracle
-    /// name: the split and batched lane kernels are pinned `to_bits`-exact
-    /// against this loop. (Since the hot single-transform entries route
-    /// here too, the chain hot path ≡ oracle ≡ lane kernels is closed.)
-    pub fn forward_generic(&self, buf: &mut [Cplx]) {
-        self.check(buf.len());
-        self.run(buf, false);
-    }
-
-    /// The interleaved inverse transform (with `1/N`), oracle twin of
-    /// [`inverse`](FftPlan::inverse).
-    pub fn inverse_generic(&self, buf: &mut [Cplx]) {
-        self.check(buf.len());
-        self.run(buf, true);
-        self.scale_interleaved(buf);
     }
 
     #[inline]
@@ -296,73 +247,8 @@ impl FftPlan {
         }
     }
 
-    /// Split-kernel dispatch: the two OFDM sizes go to monomorphized
-    /// bodies with compile-time trip counts; everything else runs the
-    /// same source through the dynamic-length fallback.
-    fn run_split(&self, re: &mut [f64], im: &mut [f64], inverse: bool) {
-        let n = self.n;
-        for i in 0..n {
-            let j = self.bit_rev[i] as usize;
-            if i < j {
-                re.swap(i, j);
-                im.swap(i, j);
-            }
-        }
-        match n {
-            64 => self.split_stages_fixed::<64>(re, im, inverse),
-            128 => self.split_stages_fixed::<128>(re, im, inverse),
-            _ => self.split_stages(n, re, im, inverse),
-        }
-    }
-
-    /// Monomorphized stage runner: `N` is a compile-time constant, so the
-    /// stage and butterfly loops have known trip counts and unroll.
-    fn split_stages_fixed<const N: usize>(&self, re: &mut [f64], im: &mut [f64], inverse: bool) {
-        self.split_stages(N, re, im, inverse);
-    }
-
-    /// The radix-2 butterfly stages on split arrays. Exactly the
-    /// operations (and order) of the interleaved [`run`](Self::run), so
-    /// the two paths agree bit for bit.
-    #[inline(always)]
-    fn split_stages(&self, n: usize, re: &mut [f64], im: &mut [f64], inverse: bool) {
-        let mut len = 2;
-        while len <= n {
-            let half = len / 2;
-            let stride = n / len;
-            let mut start = 0;
-            while start < n {
-                // k == 0 carries a unit twiddle — a pure add/sub pair
-                // (one third of all butterflies at n = 64).
-                let (ur, ui) = (re[start], im[start]);
-                let (vr, vi) = (re[start + half], im[start + half]);
-                re[start] = ur + vr;
-                im[start] = ui + vi;
-                re[start + half] = ur - vr;
-                im[start + half] = ui - vi;
-                for k in 1..half {
-                    let wr = self.tw_re[k * stride];
-                    let wi = if inverse {
-                        -self.tw_im[k * stride]
-                    } else {
-                        self.tw_im[k * stride]
-                    };
-                    let (xr, xi) = (re[start + k + half], im[start + k + half]);
-                    let vr = xr * wr - xi * wi;
-                    let vi = xr * wi + xi * wr;
-                    let (ur, ui) = (re[start + k], im[start + k]);
-                    re[start + k] = ur + vr;
-                    im[start + k] = ui + vi;
-                    re[start + k + half] = ur - vr;
-                    im[start + k + half] = ui - vi;
-                }
-                start += len;
-            }
-            len <<= 1;
-        }
-    }
-
-    /// The retained interleaved radix-2 loop.
+    /// The interleaved radix-2 loop: the single-transform kernel, and the
+    /// oracle the batched kernel is pinned against.
     fn run(&self, buf: &mut [Cplx], inverse: bool) {
         let n = self.n;
         for i in 0..n {

@@ -8,9 +8,9 @@
 //!   retained state-major scalar decoder [`viterbi_decode_scalar`],
 //!   across random received symbols, erasure patterns, puncturing rates
 //!   and trellis lengths.
-//! * The split and batched FFT kernels against the interleaved radix-2
-//!   oracle, across all power-of-two sizes the plan accepts, with
-//!   independent random data in every batch lane.
+//! * The batched FFT kernel against the interleaved radix-2 oracle,
+//!   across all power-of-two sizes the plan accepts, with independent
+//!   random data in every batch lane.
 //!
 //! These are the contract that lets the frame pipeline switch freely
 //! between the per-packet and batched engines without perturbing a single
@@ -111,33 +111,6 @@ proptest! {
         prop_assert_eq!(&out, &expected);
     }
 
-    /// Split-array kernels ≡ interleaved oracle, exact to the bit, at
-    /// every power-of-two size up to 256.
-    #[test]
-    fn split_kernels_match_interleaved_oracle(
-        log_n in 1u32..9,
-        seed in any::<u64>(),
-        inverse in any::<bool>(),
-    ) {
-        let n = 1usize << log_n;
-        let plan = FftPlan::new(n);
-        let data = lcg_signal(n, seed);
-        let mut oracle = data.clone();
-        let (mut re, mut im): (Vec<f64>, Vec<f64>) =
-            data.iter().map(|z| (z.re, z.im)).unzip();
-        if inverse {
-            plan.inverse_generic(&mut oracle);
-            plan.inverse_split(&mut re, &mut im);
-        } else {
-            plan.forward_generic(&mut oracle);
-            plan.forward_split(&mut re, &mut im);
-        }
-        for (z, (r, i)) in oracle.iter().zip(re.iter().zip(im.iter())) {
-            prop_assert_eq!(z.re.to_bits(), r.to_bits());
-            prop_assert_eq!(z.im.to_bits(), i.to_bits());
-        }
-    }
-
     /// Batched kernels ≡ interleaved oracle in every lane, with distinct
     /// random data per lane, at every power-of-two size up to 256.
     #[test]
@@ -170,7 +143,7 @@ proptest! {
             if inverse {
                 plan.inverse_raw(&mut oracle);
             } else {
-                plan.forward_generic(&mut oracle);
+                plan.forward(&mut oracle);
             }
             for (i, z) in oracle.iter().enumerate() {
                 prop_assert_eq!(z.re.to_bits(), re[i * FFT_BATCH + l].to_bits());

@@ -140,10 +140,7 @@ impl ThroughputModel for Uncalibrated<'_> {
                 // No calibration: evaluate the 40 MHz rate table at the
                 // *20 MHz* SNR (overestimating bonded quality by 3 dB).
                 let p = est.best_rate_point(c.snr20_db, width);
-                ClientLink {
-                    rate_bps: p.mcs.mcs().rate_bps(width, est.gi),
-                    per: p.per,
-                }
+                ClientLink::from_rate_point(p, width, est.gi)
             })
             .collect();
         let m = access_share(&self.0.graph, assignments, ap);

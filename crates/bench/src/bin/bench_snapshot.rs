@@ -1,14 +1,10 @@
-//! Wall-clock snapshots of the two engines, written to the current
-//! directory (the repo root when launched via `scripts/bench_snapshot.sh`):
-//!
-//! * `BENCH_allocation.json` — the evaluation engine on a 25-AP
-//!   deployment: the pre-engine sequential full-recompute allocator
-//!   (reimplemented here as the reference) vs the O(Δ)-delta path at
-//!   1 thread and at full parallelism.
-//! * `BENCH_baseband.json` — the baseband Monte-Carlo engine on the
-//!   Fig. 3 configs (1500-byte QPSK frames, 20 MHz, coded and uncoded):
-//!   single-thread packets/sec, the 1/2/8-thread bit-identity check and
-//!   the measured steady-state allocations per packet.
+//! Wall-clock snapshot of the baseband Monte-Carlo engine, written to
+//! `BENCH_baseband.json` in the current directory (the repo root when
+//! launched via `scripts/bench_snapshot.sh`): on the Fig. 3 configs
+//! (1500-byte QPSK frames, 20 MHz, coded and uncoded), single-thread
+//! packets/sec, the 1/2/8-thread bit-identity check and the measured
+//! steady-state allocations per packet. The controller path (Algorithms
+//! 1 and 2) is timed by the `acornbench` package instead.
 
 use acorn_baseband::frame::{
     mix_seed, run_trial_with, try_run_trial, Equalization, FrameConfig, FrameWorkspace, SyncMode,
@@ -17,125 +13,11 @@ use acorn_baseband::ChannelModel;
 use acorn_baseband::PACKET_CHUNK;
 use acorn_bench::alloc_counter::allocations_during;
 use acorn_bench::header;
-use acorn_core::allocation::{
-    allocate_sharded_with_restarts, allocate_with_restarts, random_initial, AllocationConfig,
-};
-use acorn_core::model::{ClientSnr, NetworkModel, ThroughputModel};
-use acorn_core::{AcornConfig, AcornController};
-use acorn_phy::{ChannelWidth, CodeRate, GoodputTable, LinkQualityEstimator, Modulation};
-use acorn_sim::scenario::{city_grid, enterprise_grid};
-use acorn_topology::{ApId, ChannelAssignment, ChannelPlan, ClientId};
+use acorn_phy::{ChannelWidth, CodeRate, Modulation};
 use serde::Serialize;
-use std::sync::Arc;
 use std::time::Instant;
 
-const N_AP_SIDE: usize = 5; // 5×5 grid = 25 APs
-const RESTARTS: usize = 8;
 const REPS: usize = 5;
-
-#[derive(Serialize)]
-struct BenchAllocation {
-    n_aps: usize,
-    n_clients: usize,
-    restarts: usize,
-    reps: usize,
-    threads_parallel: usize,
-    /// Best-of-reps wall-clock (s): sequential full-recompute reference.
-    baseline_full_recompute_s: f64,
-    /// Best-of-reps wall-clock (s): delta engine, ACORN_THREADS=1.
-    delta_sequential_s: f64,
-    /// Best-of-reps wall-clock (s): delta engine, all threads.
-    delta_parallel_s: f64,
-    speedup_parallel_vs_baseline: f64,
-    speedup_sequential_vs_baseline: f64,
-    speedup_parallel_vs_sequential: f64,
-    baseline_total_bps: f64,
-    delta_total_bps: f64,
-    /// Sequential and parallel delta runs are bit-identical.
-    delta_bit_identical: bool,
-    /// City-grid section: sharded allocation + memoized goodput table.
-    city_n_aps: usize,
-    city_n_clients: usize,
-    /// Connected components of the city conflict graph (= districts).
-    city_shards: usize,
-    /// Best-of-reps wall-clock (s): unsharded delta engine, exact model.
-    city_unsharded_exact_s: f64,
-    /// Best-of-reps wall-clock (s): sharded engine, exact model.
-    city_sharded_exact_s: f64,
-    /// Best-of-reps wall-clock (s): sharded engine, memoized-table model.
-    city_sharded_table_s: f64,
-    city_speedup_sharded_table_vs_unsharded: f64,
-    /// Sharded runs at 1 thread and full parallelism are bit-identical.
-    city_sharded_bit_identical: bool,
-}
-
-/// The pre-engine allocator: every candidate colour is scored by a full
-/// `total_bps` recompute of the patched assignment, sequentially — the
-/// seed's Algorithm 2 evaluation path, kept as the timing reference.
-fn allocate_full_recompute(
-    model: &NetworkModel,
-    plan: &ChannelPlan,
-    initial: Vec<ChannelAssignment>,
-    config: &AllocationConfig,
-) -> (Vec<ChannelAssignment>, f64) {
-    let n = model.n_aps();
-    let colours = plan.all_assignments();
-    let mut assignments = initial;
-    let mut y = model.total_bps(&assignments);
-    for _round in 0..config.max_rounds {
-        let y_round_start = y;
-        let mut eligible = vec![true; n];
-        loop {
-            let mut best: Option<(usize, ChannelAssignment, f64)> = None;
-            for i in (0..n).filter(|&i| eligible[i]) {
-                let mut ap_best: Option<(ChannelAssignment, f64)> = None;
-                for &c in &colours {
-                    let mut patched = assignments.clone();
-                    patched[i] = c;
-                    let gain = model.total_bps(&patched) - y;
-                    match ap_best {
-                        Some((_, g)) if g >= gain => {}
-                        _ => ap_best = Some((c, gain)),
-                    }
-                }
-                let (c, rank) = ap_best.expect("plan has colours");
-                match best {
-                    Some((_, _, r)) if r >= rank => {}
-                    _ => best = Some((i, c, rank)),
-                }
-            }
-            match best {
-                Some((winner, c_star, rank)) if rank > 0.0 => {
-                    assignments[winner] = c_star;
-                    eligible[winner] = false;
-                    y += rank;
-                }
-                _ => break,
-            }
-        }
-        if y <= config.epsilon * y_round_start {
-            break;
-        }
-    }
-    let total = model.total_bps(&assignments);
-    (assignments, total)
-}
-
-fn allocate_full_recompute_with_restarts(
-    model: &NetworkModel,
-    plan: &ChannelPlan,
-    config: &AllocationConfig,
-    restarts: usize,
-    seed: u64,
-) -> (Vec<ChannelAssignment>, f64) {
-    (0..restarts)
-        .map(|i| {
-            let initial = random_initial(plan, model.n_aps(), seed.wrapping_add(i as u64));
-            allocate_full_recompute(model, plan, initial, config)
-        })
-        .max_by(|a, b| a.1.total_cmp(&b.1))
-        .expect("restarts >= 1")
-}
 
 /// Best-of-`REPS` wall-clock seconds for `f`.
 fn time_best<R>(mut f: impl FnMut() -> R) -> (f64, R) {
@@ -278,197 +160,6 @@ fn main() {
         Ok(s) => {
             std::fs::write("BENCH_baseband.json", s).expect("write BENCH_baseband.json");
             println!("[saved BENCH_baseband.json]");
-        }
-        Err(e) => eprintln!("warning: serialization failed: {e}"),
-    }
-
-    header("Evaluation-engine snapshot: 25-AP allocate_with_restarts");
-    let n_clients = 60;
-    let wlan = enterprise_grid(N_AP_SIDE, N_AP_SIDE, 45.0, n_clients, 77);
-    let plan = ChannelPlan::full_5ghz();
-    let ctl = AcornController::new(AcornConfig {
-        plan,
-        ..AcornConfig::default()
-    });
-    let mut state = ctl.new_state(&wlan, 1);
-    for c in 0..wlan.clients.len() {
-        ctl.associate(&wlan, &mut state, ClientId(c));
-    }
-    let model = ctl.build_model(&wlan, &state);
-    assert_eq!(model.n_aps(), N_AP_SIDE * N_AP_SIDE);
-    let cfg = AllocationConfig::default();
-    let seed = 2010u64;
-
-    let (t_base, (_, base_total)) =
-        time_best(|| allocate_full_recompute_with_restarts(&model, &plan, &cfg, RESTARTS, seed));
-    println!(
-        "baseline full-recompute (sequential): {t_base:.3} s  (Y = {:.1} Mb/s)",
-        base_total / 1e6
-    );
-
-    std::env::set_var("ACORN_THREADS", "1");
-    let (t_seq, r_seq) = time_best(|| allocate_with_restarts(&model, &plan, &cfg, RESTARTS, seed));
-    println!(
-        "delta engine, 1 thread:               {t_seq:.3} s  (Y = {:.1} Mb/s)",
-        r_seq.total_bps / 1e6
-    );
-
-    // Measure the parallel path at ≥4 workers even on small machines
-    // (bit-identity guarantees the answer is the same either way).
-    std::env::remove_var("ACORN_THREADS");
-    let threads = acorn_core::par::max_threads().max(4);
-    std::env::set_var("ACORN_THREADS", threads.to_string());
-    let (t_par, r_par) = time_best(|| allocate_with_restarts(&model, &plan, &cfg, RESTARTS, seed));
-    std::env::remove_var("ACORN_THREADS");
-    println!(
-        "delta engine, {threads} threads:              {t_par:.3} s  (Y = {:.1} Mb/s)",
-        r_par.total_bps / 1e6
-    );
-
-    let identical = r_seq.assignments == r_par.assignments
-        && r_seq.total_bps.to_bits() == r_par.total_bps.to_bits();
-    assert!(
-        identical,
-        "sequential and parallel runs must be bit-identical"
-    );
-
-    header("Evaluation-engine snapshot: city grid, sharded + memoized table");
-    let city_districts = 4usize;
-    let city_n_clients = 432;
-    let city_wlan = city_grid(city_districts, 3, city_n_clients, 77);
-    let city_n_aps = city_wlan.aps.len();
-    // Nearest-AP association: pure geometry, fine for a timing model.
-    let assoc: Vec<Option<ApId>> = city_wlan
-        .clients
-        .iter()
-        .map(|cl| {
-            (0..city_n_aps)
-                .min_by(|&a, &b| {
-                    let da = city_wlan.aps[a].pos.distance(&cl.pos);
-                    let db = city_wlan.aps[b].pos.distance(&cl.pos);
-                    da.partial_cmp(&db).expect("finite distances")
-                })
-                .map(ApId)
-        })
-        .collect();
-    let city_graph = city_wlan.interference_graph(&assoc);
-    let city_shards = city_graph.connected_components().len();
-    let cells: Vec<Vec<ClientSnr>> = (0..city_n_aps)
-        .map(|ap| {
-            assoc
-                .iter()
-                .enumerate()
-                .filter(|(_, a)| **a == Some(ApId(ap)))
-                .map(|(c, _)| ClientSnr {
-                    client: c,
-                    snr20_db: city_wlan.snr_db(ApId(ap), ClientId(c), ChannelWidth::Ht20),
-                })
-                .collect()
-        })
-        .collect();
-    let payload = AcornConfig::default().payload_bytes;
-    let city_exact = NetworkModel::with_config(
-        city_graph.clone(),
-        cells.clone(),
-        LinkQualityEstimator::default(),
-        payload,
-    );
-    let table = Arc::new(GoodputTable::new(LinkQualityEstimator::default()));
-    let city_table = NetworkModel::with_table(city_graph, cells, table, payload);
-    let city_initial = random_initial(&plan, city_n_aps, seed);
-
-    let (t_city_unsharded, r_unsharded) =
-        time_best(|| allocate_with_restarts(&city_exact, &plan, &cfg, RESTARTS, seed));
-    println!(
-        "unsharded delta engine, exact model:  {t_city_unsharded:.3} s  (Y = {:.1} Mb/s)",
-        r_unsharded.total_bps / 1e6
-    );
-    let (t_city_sharded, r_sharded) = time_best(|| {
-        allocate_sharded_with_restarts(
-            &city_exact,
-            &plan,
-            city_initial.clone(),
-            &cfg,
-            RESTARTS,
-            seed,
-        )
-    });
-    println!(
-        "sharded ({city_shards} shards), exact model:      {t_city_sharded:.3} s  (Y = {:.1} Mb/s)",
-        r_sharded.total_bps / 1e6
-    );
-    std::env::set_var("ACORN_THREADS", "1");
-    let (t_city_table, r_table_seq) = time_best(|| {
-        allocate_sharded_with_restarts(
-            &city_table,
-            &plan,
-            city_initial.clone(),
-            &cfg,
-            RESTARTS,
-            seed,
-        )
-    });
-    std::env::set_var("ACORN_THREADS", threads.to_string());
-    let (t_city_table_par, r_table_par) = time_best(|| {
-        allocate_sharded_with_restarts(
-            &city_table,
-            &plan,
-            city_initial.clone(),
-            &cfg,
-            RESTARTS,
-            seed,
-        )
-    });
-    std::env::remove_var("ACORN_THREADS");
-    let city_t_table_best = t_city_table.min(t_city_table_par);
-    println!(
-        "sharded + memoized table:             {city_t_table_best:.3} s  (Y = {:.1} Mb/s)",
-        r_table_par.total_bps / 1e6
-    );
-    let city_identical = r_table_seq.assignments == r_table_par.assignments
-        && r_table_seq.total_bps.to_bits() == r_table_par.total_bps.to_bits();
-    assert!(
-        city_identical,
-        "sharded runs must be bit-identical across thread counts"
-    );
-    println!(
-        "sharded+table vs unsharded exact: {:.2}x",
-        t_city_unsharded / city_t_table_best
-    );
-
-    let record = BenchAllocation {
-        n_aps: model.n_aps(),
-        n_clients,
-        restarts: RESTARTS,
-        reps: REPS,
-        threads_parallel: threads,
-        baseline_full_recompute_s: t_base,
-        delta_sequential_s: t_seq,
-        delta_parallel_s: t_par,
-        speedup_parallel_vs_baseline: t_base / t_par,
-        speedup_sequential_vs_baseline: t_base / t_seq,
-        speedup_parallel_vs_sequential: t_seq / t_par,
-        baseline_total_bps: base_total,
-        delta_total_bps: r_par.total_bps,
-        delta_bit_identical: identical,
-        city_n_aps,
-        city_n_clients,
-        city_shards,
-        city_unsharded_exact_s: t_city_unsharded,
-        city_sharded_exact_s: t_city_sharded,
-        city_sharded_table_s: city_t_table_best,
-        city_speedup_sharded_table_vs_unsharded: t_city_unsharded / city_t_table_best,
-        city_sharded_bit_identical: city_identical,
-    };
-    println!();
-    println!(
-        "speedups vs baseline: {:.2}x sequential, {:.2}x parallel ({} threads)",
-        record.speedup_sequential_vs_baseline, record.speedup_parallel_vs_baseline, threads
-    );
-    match serde_json::to_string_pretty(&record) {
-        Ok(s) => {
-            std::fs::write("BENCH_allocation.json", s).expect("write BENCH_allocation.json");
-            println!("[saved BENCH_allocation.json]");
         }
         Err(e) => eprintln!("warning: serialization failed: {e}"),
     }

@@ -1,9 +1,16 @@
-//! # acorn-bench — experiment binaries and criterion benches
+//! # acorn-bench — experiment binaries and snapshots
 //!
 //! One binary per table/figure of the paper (see DESIGN.md §4 for the
 //! index). Every binary prints the paper-style rows/series to stdout and
 //! writes a JSON record under `results/` so EXPERIMENTS.md can cite exact
 //! numbers.
+//!
+//! The `bench_*` binaries write the `BENCH_*.json` snapshots at the repo
+//! root; `scripts/bench_snapshot.sh` refreshes all five. `bench_snapshot`
+//! times the baseband engine; `bench_dcb`, `bench_faults`,
+//! `bench_distributed` and `bench_soak` record experiment results with
+//! their wall time. The controller path is timed by the `acornbench`
+//! package, not here.
 //!
 //! Run them all with:
 //!

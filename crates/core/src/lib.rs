@@ -55,7 +55,7 @@ pub use association::{
     Candidate,
 };
 pub use beacon::Beacon;
-pub use controller::{AcornConfig, AcornController, NetworkState};
+pub use controller::{choose_width, AcornConfig, AcornController, NetworkState};
 pub use csa::{switch_plans, ApCsa, ClientCsa, CsaAction, SwitchPlan};
 pub use error::ControlError;
 pub use model::{ClientSnr, ModelStats, ModelStatsSnapshot, NetworkModel, ThroughputModel};

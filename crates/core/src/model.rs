@@ -237,10 +237,8 @@ pub struct ClientSnr {
 /// into a dense table at construction — Algorithm 2 evaluates candidates
 /// thousands of times per run and would otherwise re-derive every
 /// client's MCS/PER pipeline each time. The table is rebuilt
-/// automatically whenever [`set_estimator`](NetworkModel::set_estimator),
-/// [`set_payload_bytes`](NetworkModel::set_payload_bytes) or
-/// [`set_cells`](NetworkModel::set_cells) mutate its inputs, so the model
-/// is always consistent and `Sync` — the parallel evaluation engine
+/// automatically whenever [`set_estimator`](NetworkModel::set_estimator)
+/// replaces the estimator, so the model is always consistent and `Sync` — the parallel evaluation engine
 /// shares it across threads. Its only shared mutable parts are counters
 /// and the exact estimate memo, neither of which can change an output.
 #[derive(Debug, Clone)]
@@ -390,34 +388,14 @@ impl NetworkModel {
 
     /// Replaces the estimator and rebuilds the throughput table. Any
     /// attached memoized table or estimate memo is detached — both baked
-    /// in the previous estimator; attach a fresh table via
-    /// [`set_table`](NetworkModel::set_table) to restore memoization.
+    /// in the previous estimator; build a new model with
+    /// [`with_table`](NetworkModel::with_table) to restore memoization.
     pub fn set_estimator(&mut self, estimator: LinkQualityEstimator) {
         self.estimator = estimator;
         self.table = None;
         self.table_cursor = TableFlushCursor::at_attach(None);
         self.memo = None;
         self.rebuild_cell_base();
-    }
-
-    /// Replaces the airtime payload size and rebuilds the table.
-    pub fn set_payload_bytes(&mut self, payload_bytes: u32) {
-        self.payload_bytes = payload_bytes;
-        self.rebuild_cell_base();
-    }
-
-    /// Replaces the per-AP client lists and rebuilds the table. A size
-    /// mismatch is a typed error and leaves the model untouched.
-    pub fn set_cells(&mut self, cells: Vec<Vec<ClientSnr>>) -> Result<(), ControlError> {
-        if self.graph.len() != cells.len() {
-            return Err(ControlError::CellCountMismatch {
-                graph: self.graph.len(),
-                cells: cells.len(),
-            });
-        }
-        self.cells = cells;
-        self.rebuild_cell_base();
-        Ok(())
     }
 
     /// The memoized goodput table, when one is attached.
@@ -428,20 +406,6 @@ impl NetworkModel {
     /// The exact estimate memo, when one is attached.
     pub fn memo(&self) -> Option<&Arc<EstimateMemo>> {
         self.memo.as_ref()
-    }
-
-    /// Attaches (or detaches) a memoized goodput table and rebuilds the
-    /// throughput cache through it. Attaching a table also adopts its
-    /// estimator configuration, keeping the two consistent; either way
-    /// the estimate memo, if any, is detached.
-    pub fn set_table(&mut self, table: Option<Arc<GoodputTable>>) {
-        if let Some(t) = &table {
-            self.estimator = *t.estimator();
-        }
-        self.memo = None;
-        self.table_cursor = TableFlushCursor::at_attach(table.as_ref());
-        self.table = table;
-        self.rebuild_cell_base();
     }
 
     /// The model's own evaluation counters (rebuilds, delta evals,
@@ -565,10 +529,7 @@ impl NetworkModel {
                 .estimate(snr20_db, ChannelWidth::Ht20)
                 .rate_point(width),
         };
-        ClientLink {
-            rate_bps: point.mcs.mcs().rate_bps(width, self.estimator.gi),
-            per: point.per,
-        }
+        ClientLink::from_rate_point(point, width, self.estimator.gi)
     }
 
     /// The cell's airtime accounting at a width.
@@ -816,25 +777,19 @@ mod tests {
     }
 
     #[test]
-    fn setters_rebuild_the_table() {
-        // The stale-cache footgun this refactor removes: mutating the
-        // payload after first use must change subsequent predictions.
+    fn set_estimator_rebuilds_the_table() {
+        // The stale-cache footgun the eager table removes: replacing the
+        // estimator after first use must change subsequent predictions.
         let mut m = two_ap_model(&[25.0], &[20.0], false);
         let a = vec![single(0), single(1)];
         let before = m.total_bps(&a);
-        m.set_payload_bytes(256);
-        let after = m.total_bps(&a);
-        assert_ne!(before, after, "smaller frames pay more per-frame overhead");
-        m.set_payload_bytes(1500);
-        assert_eq!(m.total_bps(&a), before, "rebuild is deterministic");
-
-        let mut est = *m.estimator();
+        let original = *m.estimator();
+        let mut est = original;
         est.fading_sigma_db += 4.0;
         m.set_estimator(est);
         assert_ne!(m.total_bps(&a), before);
-
-        m.set_cells(vec![vec![], vec![]]).unwrap();
-        assert_eq!(m.total_bps(&a), 0.0);
+        m.set_estimator(original);
+        assert_eq!(m.total_bps(&a), before, "rebuild is deterministic");
     }
 
     #[test]
@@ -851,14 +806,6 @@ mod tests {
             err,
             Some(ControlError::CellCountMismatch { graph: 2, cells: 1 })
         ));
-        let mut m = two_ap_model(&[25.0], &[20.0], false);
-        let before = m.total_bps(&[single(0), single(1)]);
-        assert!(m.set_cells(vec![vec![]]).is_err());
-        assert_eq!(
-            m.total_bps(&[single(0), single(1)]),
-            before,
-            "failed set_cells must leave the model untouched"
-        );
     }
 
     #[test]
@@ -999,7 +946,9 @@ mod tests {
     fn stats_count_rebuilds_deltas_and_scans() {
         let mut m = two_ap_model(&[25.0], &[20.0], true);
         assert_eq!(m.stats().snapshot().rebuilds, 1, "construction builds once");
-        m.set_payload_bytes(256);
+        let mut est = *m.estimator();
+        est.fading_sigma_db += 4.0;
+        m.set_estimator(est);
         assert_eq!(m.stats().snapshot().rebuilds, 2);
 
         let a = vec![single(0), single(1)];

@@ -141,11 +141,7 @@ impl<S: ChannelSounding> ThroughputModel for ScanningModel<S> {
             .map(|c| {
                 let snr = c.snr20_db + self.assignment_offset_db(ap.0, c.client, a);
                 let e = est.estimate(snr, acorn_phy::ChannelWidth::Ht20);
-                let p = e.rate_point(width);
-                ClientLink {
-                    rate_bps: p.mcs.mcs().rate_bps(width, est.gi),
-                    per: p.per,
-                }
+                ClientLink::from_rate_point(e.rate_point(width), width, est.gi)
             })
             .collect();
         let base = CellAirtime::new(&links, self.base.payload_bytes()).cell_throughput_bps(1.0);

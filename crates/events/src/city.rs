@@ -53,8 +53,8 @@ use crate::cityfaults::CityFaultProcess;
 use crate::faults::{resilience_twin, FaultPlan};
 use crate::sim::Simulation;
 use acorn_core::{
-    allocate_sharded, choose_ap_obs, AcornController, AllocSpec, Candidate, ClientSnr,
-    NetworkModel, NetworkState, ThroughputModel,
+    allocate_sharded, choose_ap_obs, choose_width, AcornController, AllocSpec, Candidate,
+    ClientSnr, NetworkModel, NetworkState, ThroughputModel,
 };
 use acorn_obs::RecordingSink;
 use acorn_phy::ChannelWidth;
@@ -206,8 +206,8 @@ impl CityWorld {
             .sum()
     }
 
-    /// Localized §5.2 width adaptation for one AP (same hysteretic rule
-    /// as [`AcornController::adapt_widths`]; cell throughput at equal
+    /// Localized §5.2 width adaptation for one AP (the [`choose_width`]
+    /// rule [`AcornController::adapt_widths`] applies; cell throughput at equal
     /// access share is `k·8·payload/ATD`, so widths compare by `1/ATD`).
     fn adapt_width_local(&mut self, ap: usize) {
         if self.state.assignments[ap].width() != ChannelWidth::Ht40 || self.cells[ap].is_empty() {
@@ -215,22 +215,12 @@ impl CityWorld {
         }
         let t40 = self.cell_atd_s(ap, ChannelWidth::Ht40).recip();
         let t20 = self.cell_atd_s(ap, ChannelWidth::Ht20).recip();
-        let margin = self.ctl.config.width_hysteresis.max(0.0);
-        if margin == 0.0 {
-            self.state.operating_width[ap] = if t40 >= t20 {
-                ChannelWidth::Ht40
-            } else {
-                ChannelWidth::Ht20
-            };
-            return;
-        }
-        let (t_cur, t_alt, alt) = match self.state.operating_width[ap] {
-            ChannelWidth::Ht40 => (t40, t20, ChannelWidth::Ht20),
-            ChannelWidth::Ht20 => (t20, t40, ChannelWidth::Ht40),
-        };
-        if t_alt > t_cur * (1.0 + margin) {
-            self.state.operating_width[ap] = alt;
-        }
+        self.state.operating_width[ap] = choose_width(
+            self.state.operating_width[ap],
+            t40,
+            t20,
+            self.ctl.config.width_hysteresis,
+        );
     }
 
     /// Adds (+1) or removes (−1) the client-mediated edges client `c`

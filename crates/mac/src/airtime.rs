@@ -20,6 +20,8 @@
 //! M_i / ATD_i` bookkeeping of §4.1, with the payload made explicit.
 
 use crate::timing::delivery_delay_s;
+use acorn_phy::estimator::RatePoint;
+use acorn_phy::{ChannelWidth, GuardInterval};
 
 /// One client's link operating point as the MAC sees it.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -28,6 +30,17 @@ pub struct ClientLink {
     pub rate_bps: f64,
     /// Packet error rate at that rate.
     pub per: f64,
+}
+
+impl ClientLink {
+    /// The link at an estimator operating point: the point's MCS rate at
+    /// `width` and guard interval `gi`, with the point's PER.
+    pub fn from_rate_point(point: RatePoint, width: ChannelWidth, gi: GuardInterval) -> ClientLink {
+        ClientLink {
+            rate_bps: point.mcs.mcs().rate_bps(width, gi),
+            per: point.per,
+        }
+    }
 }
 
 /// Per-cell airtime accounting for a set of associated clients.

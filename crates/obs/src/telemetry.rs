@@ -326,11 +326,6 @@ impl Telemetry {
         }
     }
 
-    /// The retention cap newly-created series inherit.
-    pub fn series_capacity(&self) -> Option<usize> {
-        self.series_cap
-    }
-
     /// Increments a counter by 1.
     pub fn inc(&mut self, name: &str) {
         self.add(name, 1);

@@ -97,11 +97,7 @@ pub fn evaluate_analytic_sinr(
                     // Map the width-specific SINR back through the
                     // estimator (measured at the serving width).
                     let est = estimator.estimate(sinr, width);
-                    let p = est.rate_point(width);
-                    ClientLink {
-                        rate_bps: p.mcs.mcs().rate_bps(width, estimator.gi),
-                        per: p.per,
-                    }
+                    ClientLink::from_rate_point(est.rate_point(width), width, estimator.gi)
                 })
                 .collect();
             if links.is_empty() {

@@ -8,8 +8,9 @@
 //! 20 MHz mode and is able to sustain a cell throughput that is almost ten
 //! times that of a fixed 40 MHz channel."
 
+use acorn_core::choose_width;
 use acorn_events::{Ctx, Process, Simulation};
-use acorn_mac::airtime::CellAirtime;
+use acorn_mac::airtime::{CellAirtime, ClientLink};
 use acorn_phy::estimator::LinkQualityEstimator;
 use acorn_phy::ChannelWidth;
 use acorn_topology::{ApId, ClientId, Point, Wlan};
@@ -69,11 +70,7 @@ impl MobilityExperiment {
             .map(|c| {
                 let snr20 = wlan.snr_db(ap, ClientId(c), ChannelWidth::Ht20);
                 let est = self.estimator.estimate(snr20, ChannelWidth::Ht20);
-                let p = est.rate_point(width);
-                acorn_mac::airtime::ClientLink {
-                    rate_bps: p.mcs.mcs().rate_bps(width, self.estimator.gi),
-                    per: p.per,
-                }
+                ClientLink::from_rate_point(est.rate_point(width), width, self.estimator.gi)
             })
             .collect();
         CellAirtime::new(&links, self.payload_bytes).cell_throughput_bps(1.0)
@@ -107,15 +104,13 @@ impl MobilityExperiment {
                 w.wlan.clients[self.exp.mobile.0].pos = self.exp.trajectory.position_at(t);
                 let width = match self.policy {
                     WidthPolicy::Fixed(wd) => wd,
-                    WidthPolicy::AcornAdaptive => {
-                        if self.exp.cell_bps(&w.wlan, ChannelWidth::Ht40)
-                            >= self.exp.cell_bps(&w.wlan, ChannelWidth::Ht20)
-                        {
-                            ChannelWidth::Ht40
-                        } else {
-                            ChannelWidth::Ht20
-                        }
-                    }
+                    // The memoryless (margin-0) rule: `current` is unused.
+                    WidthPolicy::AcornAdaptive => choose_width(
+                        ChannelWidth::Ht40,
+                        self.exp.cell_bps(&w.wlan, ChannelWidth::Ht40),
+                        self.exp.cell_bps(&w.wlan, ChannelWidth::Ht20),
+                        0.0,
+                    ),
                 };
                 let sample = MobilitySample {
                     t_s: t,

@@ -50,11 +50,7 @@ pub fn cell_links(
         .map(|(c, _)| {
             let snr20 = wlan.snr_db(ap, ClientId(c), ChannelWidth::Ht20);
             let est = estimator.estimate(snr20, ChannelWidth::Ht20);
-            let point = est.rate_point(width);
-            ClientLink {
-                rate_bps: point.mcs.mcs().rate_bps(width, estimator.gi),
-                per: point.per,
-            }
+            ClientLink::from_rate_point(est.rate_point(width), width, estimator.gi)
         })
         .collect()
 }
